@@ -6,8 +6,9 @@ Usage, from the repository root:
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 NAME is one of cli_fit, penalty_path, wide_solvers, cv_groups, or ``all``
-to run each in turn.  The run sets up the workload's inputs several times
-(the median set-up time is ``setup_s``), then a fresh worker process repeats
+to run each in turn.  The run sets up the workload's inputs again and again
+for at least SETUP_MIN_S seconds and at least three times (the median set-up
+time is ``setup_s``), then a fresh worker process repeats
 the workload's op in a closed loop for S seconds and checks every op's
 outputs.  The last line of standard output is one JSON object with the keys
 correct, attempted, failed and metrics.  README.md describes the workloads
@@ -34,7 +35,12 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK_ROOT = ROOT / ".perfbench_work"
-RUN_LIMIT_S = 170.0
+# a single cv_groups set-up takes about 15 ms; the median of five of them
+# ranged from 10 to 19 ms over ten fresh processes, the median of 1.5 s of
+# them from 14.2 to 16.0 ms (2-vCPU sandbox)
+SETUP_MIN_S = 1.5
+# the worker gets --seconds plus this for loading, its last op and its result
+WORKER_MARGIN_S = 120.0
 
 END_TO_END = {"setup_s": "s", "op_p50_s": "s", "op_tail_s": "s", "ops_per_s": "1/s",
               "peak_rss_mib": "MiB", "worst_group_v": "value"}
@@ -98,13 +104,13 @@ def digest(work: Path) -> str:
 
 
 def set_up(workload, work: Path, seed: int, trace: bool):
-    """Set the inputs up ``setup_reps`` times; returns the set-up times, the
-    simulate-layer self times and whether every repetition wrote the same
-    bytes."""
+    """Set the inputs up for at least SETUP_MIN_S seconds and at least three
+    times; returns the set-up times, the simulate-layer self times and
+    whether every repetition wrote the same bytes."""
     import spans
 
     times, gen, digests = [], [], []
-    for _ in range(workload.setup_reps):
+    while len(times) < 3 or sum(times) < SETUP_MIN_S:
         tracer = spans.Tracer() if trace and not workload.subprocess_ops else None
         spans_file = work.parent / "setup-spans.json" if trace and not tracer else None
         uninstall = tracer.install() if tracer else None
@@ -125,14 +131,14 @@ def set_up(workload, work: Path, seed: int, trace: bool):
     return times, gen, len(set(digests)) == 1
 
 
-def run_worker(work: Path, deadline: float) -> dict:
+def run_worker(work: Path, seconds: int) -> dict:
     import workloads
 
     proc = subprocess.Popen([sys.executable, str(HERE / "worker.py"), str(work)],
                             env=workloads.child_env(), stdout=sys.stderr,
                             start_new_session=True)
     try:
-        code = proc.wait(timeout=max(1.0, deadline - time.monotonic()))
+        code = proc.wait(timeout=seconds + WORKER_MARGIN_S)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
@@ -194,7 +200,6 @@ def per_layer_metrics(result: dict, gen_times) -> tuple[dict, list]:
 def run_one(name: str, seed: int, seconds: int, trace: bool) -> dict:
     import workloads
 
-    deadline = time.monotonic() + RUN_LIMIT_S
     workload = workloads.WORKLOADS[name]
     run_dir = WORK_ROOT / f"{name}-{os.getpid()}"
     work = run_dir / "inputs"
@@ -206,7 +211,7 @@ def run_one(name: str, seed: int, seconds: int, trace: bool) -> dict:
         (work / "task.json").write_text(json.dumps({
             "workload": name, "seed": seed, "seconds": seconds, "trace": trace,
             "reference": reference}), encoding="utf-8")
-        result = run_worker(work, deadline)
+        result = run_worker(work, seconds)
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
 

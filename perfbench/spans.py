@@ -6,8 +6,12 @@ A :class:`Tracer` replaces every public function of the package modules
 validate`` bindings are covered too) with a wrapper that records one span per
 call: layer, function, thread, start, end, parent span and a few facts read
 from the arguments or the result.  Spans stay in memory until the traced op
-ends.  Nothing inside the package is changed; :meth:`Tracer.install` returns
-a function that puts the original functions back.
+ends.  It also counts calls to the private ``lp._pivot`` and credits them to
+the enclosing ``simplex_solve`` span, so that the pivots of a solve that
+raises (the hull oracle's phase 1 ends in ``Infeasible`` whenever the origin
+is outside the hull) are counted too.  Nothing inside the package is
+changed; :meth:`Tracer.install` returns a function that puts the original
+functions back.
 
 A span's self time is its duration minus the part of it that its child spans
 cover.  Child spans may run on other threads (cross-validation fans out to a
@@ -46,10 +50,7 @@ def _file_bytes(args, kwargs):
 
 def _simplex_info(args, kwargs, result):
     shape = getattr(_arg(args, kwargs, 1, "A"), "shape", None)
-    info = {"rows": int(shape[0]), "cols": int(shape[1])} if shape and len(shape) == 2 else {}
-    if result is not None:
-        info["pivots"] = int(result.iterations)
-    return info
+    return {"rows": int(shape[0]), "cols": int(shape[1])} if shape and len(shape) == 2 else {}
 
 
 def _fit_info(args, kwargs, result):
@@ -91,10 +92,25 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
+    def _pivots(self) -> int:
+        """Pivots made so far on this thread."""
+        return getattr(self._local, "pivots", 0)
+
+    def _count_pivots(self, fn):
+        local = self._local
+
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            local.pivots = getattr(local, "pivots", 0) + 1
+            return fn(*args, **kwargs)
+
+        return counted
+
     def _wrap(self, layer, name, fn):
         key = f"{layer}.{name}"
         probe = PROBES.get(key)
         track_rss = key in _RSS_TRACKED
+        count_pivots = key == "lp.simplex_solve"
         spans = self.spans
 
         @functools.wraps(fn)
@@ -108,6 +124,7 @@ class Tracer:
             sid = next(self._ids)
             stack.append(sid)
             rss0 = _maxrss_mib() if track_rss else 0.0
+            pivots0 = self._pivots() if count_pivots else 0
             start = time.perf_counter()
             result = None
             try:
@@ -119,6 +136,8 @@ class Tracer:
                 info = probe(args, kwargs, result) if probe else {}
                 if track_rss:
                     info["rss_growth_mib"] = _maxrss_mib() - rss0
+                if count_pivots:
+                    info["pivots"] = self._pivots() - pivots0
                 spans.append((sid, parent, layer, name, threading.get_ident(),
                               start, end, info))
 
@@ -140,6 +159,9 @@ class Tracer:
                 if id(obj) in wrappers and wrappers[id(obj)][0] is obj:
                     setattr(mod, name, wrappers[id(obj)][1])
                     undo.append((mod, name, obj))
+        lp = modules["lp"]
+        undo.append((lp, "_pivot", lp._pivot))
+        lp._pivot = self._count_pivots(lp._pivot)
         self._home_stack = self._stack()
 
         def uninstall():

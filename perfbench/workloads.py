@@ -82,11 +82,10 @@ def jump_series(p: int) -> Dataset:
 
 
 class Workload:
-    """Defaults: ops run in the worker process, inputs are set up five
-    times, and the checks need no reference."""
+    """Defaults: ops run in the worker process and the checks need no
+    reference."""
 
     subprocess_ops = False
-    setup_reps = 5
 
     def reference(self, work: Path, seed: int) -> dict:
         return {}
@@ -98,7 +97,6 @@ class CliFit(Workload):
 
     name = "cli_fit"
     subprocess_ops = True
-    setup_reps = 3
     n, groups = 200_000, 40
 
     def setup(self, work: Path, seed: int, spans_file=None):
@@ -343,7 +341,14 @@ def l1_lp_optimum(C) -> float:
     """min |beta|_1 s.t. C beta >= 1, by HiGHS on the dual
     max 1'y s.t. |C'y| <= 1, y >= 0, restricted to a growing column subset
     until its solution is feasible for every column (then the restricted and
-    the full dual agree, and so does the primal)."""
+    the full dual agree, and so does the primal).
+
+    The returned 1'y is a lower bound on |beta|_1 for every feasible beta
+    (weak duality, y being feasible for the full dual), so a solver answer
+    that matches it is optimal, and a wrong reference cannot make a wrong
+    answer pass.  One HiGHS solve of the full 400000 x 20 dual gave the same
+    optimum in 8.8 s with a 1570 MiB peak; this loop takes 0.06 s (2-vCPU
+    sandbox, wide_solvers matrix)."""
     from scipy.optimize import linprog
 
     G = C.shape[0]
