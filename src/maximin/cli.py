@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: simulate, fit, cv-groups, evaluate, oracle.  Exit codes: 0 on
-success, 2 on validation errors, 3 on solver non-convergence or infeasible
-programs.  All randomness flows from --seed.
+success, 2 on validation errors and on files that cannot be read or
+written, 3 on solver non-convergence or infeasible programs.  All randomness
+flows from --seed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import io, oracle, simulate
 from .estimator import fit_with_config
-from .exceptions import SolverError, ValidationError
+from .exceptions import IoError, SolverError, ValidationError
 from .grouping import consecutive_blocks, sample_groups
 from .model import (
     MODE_CONSTRAINED,
@@ -71,6 +72,8 @@ def _cmd_simulate(args) -> int:
                                         sigma_noise=args.sigma_noise, seed=seed)
         essential = out.support
     else:  # contaminated
+        if p < 1:
+            raise ValidationError("p must be >= 1")
         b_star = np.zeros(p)
         b_star[0] = 1.0
         out = simulate.gen_contaminated(n, p, b_star, [2.0 * b_star],
@@ -119,13 +122,18 @@ def _parse_groups(spec_text: str, dataset: Dataset, labels_spec, seed: int) -> G
 
 def _parse_mode(mode_text: str):
     kind, _, rest = mode_text.partition(":")
-    if kind == "lambda":
-        return MODE_PENALIZED, float(rest), None
-    if kind == "kappa":
-        return MODE_CONSTRAINED, 0.0, float(rest)
     if kind == "maximal":
         return MODE_MAXIMAL, 0.0, None
-    raise ValidationError(f"unknown mode {mode_text!r}")
+    if kind not in ("lambda", "kappa"):
+        raise ValidationError(f"unknown mode {mode_text!r}")
+    try:
+        value = float(rest)
+    except ValueError:
+        raise ValidationError(f"--mode {mode_text!r} needs a number after "
+                              f"'{kind}:'") from None
+    if kind == "lambda":
+        return MODE_PENALIZED, value, None
+    return MODE_CONSTRAINED, 0.0, value
 
 
 def _load_data(args) -> tuple[Dataset, GroupSpec | None]:
@@ -156,7 +164,11 @@ def _cmd_cv_groups(args) -> int:
     dataset, _ = io.read_csv(args.data, has_header=True, y_column=args.y_col)
     if args.time_ordered:
         dataset = Dataset(X=dataset.X, Y=dataset.Y, time_ordered=True)
-    candidates = [int(v) for v in args.candidates.split(",") if v]
+    try:
+        candidates = [int(v) for v in args.candidates.split(",") if v]
+    except ValueError:
+        raise ValidationError(
+            f"--candidates needs comma-separated integers, got {args.candidates!r}") from None
     mode, lam, kappa = _parse_mode(args.mode)
     config = PenaltyConfig(q=args.penalty, mode=mode, lam=lam, kappa=kappa,
                            zeta=args.zeta)
@@ -275,15 +287,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except Exception as exc:  # includes IoError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -146,8 +146,6 @@ def _solve_weighted_l2(A, d, lam):
     of mu, so a bracketed scalar root-find is exact.  lam = 0 degenerates to
     the plain weighted least-squares solve.
     """
-    from scipy.optimize import brentq
-
     p = d.shape[0]
     evals, evecs = np.linalg.eigh(A)
     if evals[0] <= 1e-12 * max(1.0, evals[-1]):
@@ -164,6 +162,8 @@ def _solve_weighted_l2(A, d, lam):
 
     if lam == 0.0:
         return evecs @ (d_tilde / evals)
+    from scipy.optimize import brentq  # slow to import; unused at lam = 0
+
     norm_d = np.linalg.norm(d_tilde)
     if 2.0 * norm_d <= lam:
         return np.zeros(p)
@@ -205,8 +205,15 @@ def _golden_section(f, lo, hi, iters=40):
 
 
 def _log_power_merit(group_V, sizes, zeta):
-    """log of (sum_g n_g V_g^zeta)^(1/zeta), the soft worst-group objective;
-    NaN whenever some group variance is nonpositive."""
+    """log of (sum_g n_g V_g^zeta)^(1/zeta); NaN whenever some group variance
+    is nonpositive.
+
+    With N = sum_g n_g this is log N / zeta plus the log of the size-weighted
+    power mean (sum_g (n_g / N) V_g^zeta)^(1/zeta).  For zeta in (0, 1) that
+    mean lies between the geometric and the arithmetic mean of the group
+    variances: it is not a soft minimum (see "Certify the worst-group
+    objective" in ROADMAP.md).
+    """
     v = np.asarray(group_V, dtype=np.float64)
     if np.any(v <= 0.0):
         return float("nan")
@@ -317,6 +324,14 @@ def fit_reweighted(dataset: Dataset, spec: GroupSpec,
     weighted penalized regression; stops when no group's explained variance
     moves by more than ``config.tol`` or after ``config.max_iter`` rounds (in
     which case the best iterate is returned with ``converged=False``).
+
+    The weights are proportional to n_g V_g^(zeta - 1), so a fixed point of
+    the loop maximizes sum_g n_g V_g^zeta.  For zeta in (0, 1) that is a
+    size-weighted power mean of the group variances, between their
+    geometric and arithmetic means: a surrogate for the worst-group value
+    min_g V_g, not a soft minimum of it, and on inhomogeneous data the two
+    maximizers can lie far apart (see "Certify the worst-group objective"
+    in ROADMAP.md).
 
     Constrained mode realizes the norm bound by bisecting the penalty level
     until the fitted norm lands within 1% of kappa; when even the

@@ -2,8 +2,11 @@
 
 Validation failures (malformed inputs, bad configuration) derive from
 :class:`ValidationError`; solver-level failures (non-convergence, infeasible
-programs, degenerate signals) derive from :class:`SolverError`.  The CLI maps
-the former to exit code 2 and the latter to exit code 3.
+programs, degenerate signals) derive from :class:`SolverError`;
+:class:`IoError` reports a file that cannot be opened, read, written or
+decoded as UTF-8, or a JSON artifact without the fields it needs.  The CLI maps ValidationError and IoError to exit code 2
+and SolverError to exit code 3; any other exception is a bug and ends the
+command with a traceback.
 """
 
 
@@ -39,12 +42,11 @@ class DegenerateVariance(ValidationError):
     pass
 
 
-class WeightsInvalid(ValidationError):
-    pass
-
-
 class InvalidWeights(ValidationError):
-    pass
+    """Weights are not a probability vector of the right length."""
+
+
+WeightsInvalid = InvalidWeights  # the same class under its older name
 
 
 class InvalidSize(ValidationError):
@@ -76,7 +78,8 @@ class MissingColumn(ValidationError):
 
 
 class IoError(MaximinError):
-    pass
+    """A file cannot be opened, read, written or decoded, or a JSON
+    artifact lacks the fields it needs."""
 
 
 class SolverError(MaximinError):

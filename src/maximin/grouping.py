@@ -23,6 +23,8 @@ from .model import PARTITION, WITH_REPLACEMENT, GroupSpec
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """The package-wide RNG: Philox, a documented counter-based generator."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
 
 

@@ -218,9 +218,11 @@ def validate(dataset: Dataset, spec: GroupSpec | None = None) -> None:
         if idx.min() < 0 or idx.max() >= dataset.n:
             raise IndexOutOfRange(
                 f"GroupSpec.groups[{g}] has indices outside [0, {dataset.n - 1}]")
-        if len(np.unique(idx)) != len(idx):
+        ordered = np.sort(idx)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValidationError(f"GroupSpec.groups[{g}] has repeated indices")
     if spec.replacement == PARTITION:
-        all_idx = np.concatenate(spec.groups)
-        if len(np.unique(all_idx)) != len(all_idx):
+        # indices are in range by now; a count above one is an overlap
+        counts = np.bincount(np.concatenate(spec.groups), minlength=dataset.n)
+        if counts.max() > 1:
             raise ValidationError("partition groups must be disjoint (GroupSpec.groups)")

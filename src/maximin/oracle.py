@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NonConverged, WeightsInvalid
+from .exceptions import InvalidWeights, NonConverged
 from .lp import origin_hull_weights
 from .model import SupportSet
 
@@ -51,9 +51,9 @@ def pooled_effect(support: SupportSet, weights=None) -> np.ndarray:
     else:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (d,):
-            raise WeightsInvalid(f"need {d} weights, got shape {w.shape}")
+            raise InvalidWeights(f"need {d} weights, got shape {w.shape}")
         if np.any(w < 0.0) or not np.isclose(w.sum(), 1.0, atol=1e-9):
-            raise WeightsInvalid("weights must be nonnegative and sum to 1")
+            raise InvalidWeights("weights must be nonnegative and sum to 1")
     return support.points.T @ w
 
 

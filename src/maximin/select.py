@@ -86,6 +86,8 @@ def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
     candidates = tuple(int(g) for g in candidates)
     if not candidates:
         raise ValidationError("candidates must be nonempty")
+    if splits < 1:
+        raise ValidationError(f"splits must be a positive integer, got {splits}")
     if config is None:
         config = PenaltyConfig()
     n = dataset.n

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .exceptions import InvalidWeights, ValidationError
 from .model import Dataset, SupportSet
@@ -58,6 +57,9 @@ def _draw_design(rng, n, p, sigma, design, bound):
         X = rng.standard_normal((n, p)) @ chol.T
         return X, np.asarray(sigma, dtype=np.float64)
     if design == BOUNDED:
+        # scipy.stats takes about a second to import: load it only here
+        from scipy import stats
+
         if bound <= 0.0:
             raise ValidationError("bound must be positive")
         u = rng.random((n, p))

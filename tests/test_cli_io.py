@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 import maximin
 from maximin import (
     Dataset,
+    GroupSpec,
+    IoError,
     MaximinFit,
     MissingColumn,
     ParseError,
@@ -17,6 +20,7 @@ from maximin import (
     SeriesReport,
     consecutive_blocks,
 )
+from maximin.cli import main as cli_main
 from maximin.io import (
     read_csv,
     read_fit,
@@ -97,6 +101,151 @@ class TestReadCsv:
         np.testing.assert_allclose(ds.X.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose((ds.X ** 2).mean(axis=0), 1.0, atol=1e-12)
 
+    def test_quoted_numeric_cell(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text('y,x1\n"1.5",2\n3,"-4e-3"\n')
+        ds, _ = read_csv(f)
+        np.testing.assert_array_equal(ds.Y, [1.5, 3.0])
+        np.testing.assert_array_equal(ds.X[:, 0], [2.0, -4e-3])
+
+    def test_blank_lines_skipped(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("\ny,x1\n\n1,2\n\n3,4\n\n")
+        ds, _ = read_csv(f)
+        np.testing.assert_array_equal(ds.Y, [1.0, 3.0])
+        np.testing.assert_array_equal(ds.X[:, 0], [2.0, 4.0])
+
+    def test_crlf_line_ends(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"y,x1,g\r\n1,2,a\r\n3,4,b\r\n5,6,a\r\n")
+        ds, spec = read_csv(f, group_column="g")
+        np.testing.assert_array_equal(ds.Y, [1.0, 3.0, 5.0])
+        np.testing.assert_array_equal(ds.X[:, 0], [2.0, 4.0, 6.0])
+        assert [list(i) for i in spec.groups] == [[0, 2], [1]]
+
+    def test_header_names_are_stripped(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text(" y , x 1 \n1,2\n3,4\n")
+        ds, _ = read_csv(f, y_column="y")
+        np.testing.assert_array_equal(ds.Y, [1.0, 3.0])
+        with pytest.raises(MissingColumn):
+            read_csv(f, y_column=" y ")
+
+    def test_whitespace_around_numbers(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x1\n 1 ,\t2\n3 , 4\n")
+        ds, _ = read_csv(f)
+        np.testing.assert_array_equal(ds.Y, [1.0, 3.0])
+        np.testing.assert_array_equal(ds.X[:, 0], [2.0, 4.0])
+
+    def test_python_float_literals_accepted(self, tmp_path):
+        # underscores and non-ASCII digits are numbers to Python's float()
+        f = tmp_path / "d.csv"
+        f.write_text("y,x1\n1_0,2\n3,\u0664\n", encoding="utf-8")
+        ds, _ = read_csv(f)
+        np.testing.assert_array_equal(ds.Y, [10.0, 3.0])
+        np.testing.assert_array_equal(ds.X[:, 0], [2.0, 4.0])
+
+    def test_labels_keep_their_text(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text('y,x1,g\n1,2,"a,b"\n3,4, a\n5,6,a\n7,8,"a,b"\n')
+        ds, spec = read_csv(f, group_column="g")
+        assert ds.p == 1
+        assert [list(i) for i in spec.groups] == [[0, 3], [1], [2]]
+
+    def test_parse_error_in_y_column(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("x1,y,x2\n1,2,3\n4,5,6\n7,bad,9\n")
+        with pytest.raises(ParseError) as e:
+            read_csv(f)
+        assert (e.value.row, e.value.col) == (4, 2)
+        assert "'bad'" in str(e.value)
+
+    def test_parse_error_with_group_column(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,g,x1\n1,a,2\n3,b,x\n")
+        with pytest.raises(ParseError) as e:
+            read_csv(f, group_column="g")
+        assert (e.value.row, e.value.col) == (3, 3)
+
+    def test_parse_error_first_bad_cell_in_row_order(self, tmp_path):
+        # the predictor cells of a row are checked before its response
+        f = tmp_path / "d.csv"
+        f.write_text("y,x1,x2\n1,2,3\nu,5,v\nw,8,9\n")
+        with pytest.raises(ParseError) as e:
+            read_csv(f)
+        assert (e.value.row, e.value.col) == (3, 3)
+
+    def test_empty_cell_is_a_parse_error(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x1\n1,2\n3,\n")
+        with pytest.raises(ParseError) as e:
+            read_csv(f)
+        assert (e.value.row, e.value.col) == (3, 2)
+
+    def test_ragged_rows_names_the_row(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x1,x2\n1,2,3\n4,5,6\n7,8\n")
+        with pytest.raises(RaggedRows, match="row 4 has 2 cells, expected 3"):
+            read_csv(f)
+
+    def test_ragged_rows_before_missing_column(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("a,b\n1,2\n3,4,5\n")
+        with pytest.raises(RaggedRows, match="row 3"):
+            read_csv(f, y_column="y")
+
+    def test_header_only_table(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x1\n\n")
+        with pytest.raises(RaggedRows, match="no data rows"):
+            read_csv(f)
+        f.write_text("\n\n")
+        with pytest.raises(RaggedRows, match="empty table"):
+            read_csv(f)
+
+    def test_matches_cell_by_cell_reference(self, tmp_path):
+        # the reader must agree bit for bit with float() applied per cell
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((300, 4)) * 10.0 ** rng.integers(-30, 30, (300, 4))
+        formats = ["{!r}", "{:.17g}", "{:.6e}", "{:.3f}", "{:.20e}"]
+        lines = ["a,y,b,c"]
+        for i, row in enumerate(values.tolist()):
+            lines.append(",".join(formats[(i + j) % 5].format(v) for j, v in enumerate(row)))
+        f = tmp_path / "d.csv"
+        f.write_text("\n".join(lines) + "\n")
+        ds, _ = read_csv(f)
+        cells = [[float(c) for c in line.split(",")] for line in lines[1:]]
+        ref = np.array(cells)
+        assert ds.Y.tobytes() == ref[:, 1].tobytes()
+        assert ds.X.tobytes() == np.ascontiguousarray(ref[:, [0, 2, 3]]).tobytes()
+
+    def test_not_utf8_is_an_io_error(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"y,x1\n1,2\n3,\xff\n")
+        with pytest.raises(IoError, match="UTF-8"):
+            read_csv(f)
+
+    def test_oversized_cell_is_an_io_error(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y," + "x" * (csv.field_size_limit() + 1) + "\n1,2\n")
+        with pytest.raises(IoError, match="CSV"):
+            read_csv(f)
+
+    def test_write_matches_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        ds = Dataset(X=rng.standard_normal((5, 2)), Y=rng.standard_normal(5))
+        labels = ["a", "b,c", 'say "hi"', "", "line\nbreak"]
+        f, ref = tmp_path / "d.csv", tmp_path / "ref.csv"
+        write_csv_dataset(ds, f, labels=labels)
+        with open(ref, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["y", "x1", "x2", "group"])
+            for i in range(5):
+                writer.writerow([format(float(v), ".17g")
+                                 for v in (ds.Y[i], *ds.X[i])] + [labels[i]])
+        assert f.read_bytes() == ref.read_bytes()
+
     def test_round_trip_dataset(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = Dataset(X=rng.standard_normal((20, 3)), Y=rng.standard_normal(20))
@@ -139,6 +288,25 @@ class TestFitArtifacts:
         doc = json.loads(f.read_text())
         assert doc["groups"] == [[1, 2], [3, 4]]
 
+    def test_exact_bytes_with_groups(self, tmp_path):
+        fit = MaximinFit(beta=np.array([0.1, -2.5e-17]),
+                         group_V=np.array([1.0, 1.0 / 3.0]),
+                         scale=0.5, iterations=3, converged=True)
+        spec = GroupSpec(groups=(np.array([0, 1, 2]), np.array([4, 3])),
+                         replacement="with_replacement")
+        f = tmp_path / "fit.json"
+        write_fit(fit, f, groups=spec)
+        assert f.read_bytes() == (
+            b'{"beta":[0.10000000000000001,-2.4999999999999999e-17],'
+            b'"converged":true,"group_v":[1,0.33333333333333331],'
+            b'"groups":[[1,2,3],[5,4]],"iterations":3,'
+            b'"replacement":"with_replacement","scale":0.5}\n')
+        write_fit(fit, f)
+        assert f.read_bytes() == (
+            b'{"beta":[0.10000000000000001,-2.4999999999999999e-17],'
+            b'"converged":true,"group_v":[1,0.33333333333333331],'
+            b'"iterations":3,"scale":0.5}\n')
+
 
 class TestSeriesArtifacts:
     def test_empty_series_header_only(self, tmp_path):
@@ -154,6 +322,13 @@ class TestSeriesArtifacts:
         assert len(lines) == 4
         assert lines[1].startswith("1,")
         np.testing.assert_array_equal(read_series(f), [1.0, 0.0, 2.0])
+
+    def test_exact_bytes(self, tmp_path):
+        f = tmp_path / "s.csv"
+        write_series(SeriesReport(cumsum=np.array([1.0, 1.0 / 3.0, -2e-5]),
+                                  standardized=False), f)
+        assert f.read_bytes() == (b"t,cumsum\r\n1,1\r\n2,0.33333333333333331\r\n"
+                                  b"3,-2.0000000000000002e-05\r\n")
 
 
 class TestCliSurface:
@@ -242,6 +417,41 @@ class TestCliSurface:
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("error:"), r.stderr
         assert "missing.csv" in r.stderr
+
+    def test_exit_code_bad_mode_value(self, tmp_path):
+        (tmp_path / "d.csv").write_text("y,x1\n1,2\n3,4\n5,7\n")
+        r = run_cli("fit", "--data", "d.csv", "--groups", "blocks:2",
+                    "--mode", "lambda:abc", "--out", "x.json", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error:"), r.stderr
+        assert "lambda:abc" in r.stderr
+
+    def test_exit_code_non_utf8_data(self, tmp_path):
+        (tmp_path / "d.csv").write_bytes(b"y,x1\n1,2\n3,\xff\xfe\n")
+        r = run_cli("fit", "--data", "d.csv", "--groups", "blocks:2",
+                    "--out", "x.json", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error:"), r.stderr
+        assert "d.csv" in r.stderr
+
+    def test_contaminated_without_predictors_is_a_validation_error(self, tmp_path, capsys):
+        code = cli_main(["simulate", "--scenario", "contaminated", "--n", "10",
+                     "--p", "0", "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: p must be >= 1")
+
+    def test_import_loads_no_scipy(self):
+        # scipy costs about a second per interpreter; only the bounded
+        # design and the l2 penalty root-find load it, when they run
+        code = ("import sys, maximin, maximin.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
 
     def test_exit_code_solver_error(self, tmp_path):
         # opposed single-predictor signals make the maximal-penalty program

@@ -191,3 +191,8 @@ def test_jump_bound_monte_carlo():
         if pareto_holds(out.assignments, spec, {0, 1}):
             hits += 1
     assert hits / trials >= 1.0 - gamma - 0.05
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValidationError, match="seed"):
+        rng_from_seed(-1)

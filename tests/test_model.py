@@ -59,6 +59,21 @@ class TestValidate:
                          replacement="with_replacement")
         validate(ds, spec)
 
+    def test_repeated_index_in_group_rejected(self):
+        ds = make_dataset(5)
+        for mode in ("partition", "with_replacement"):
+            spec = GroupSpec(groups=(np.array([0, 1]), np.array([2, 4, 2])),
+                             replacement=mode)
+            with pytest.raises(ValidationError, match=r"groups\[1\] has repeated"):
+                validate(ds, spec)
+
+    def test_partition_overlap_across_many_groups(self):
+        ds = make_dataset(10)
+        groups = tuple(np.array([g, g + 5]) for g in range(5)) + (np.array([9]),)
+        with pytest.raises(ValidationError, match="disjoint"):
+            validate(ds, GroupSpec(groups=groups))
+        validate(ds, GroupSpec(groups=groups, replacement="with_replacement"))
+
     def test_y_length_mismatch(self):
         ds = Dataset(X=np.ones((3, 2)), Y=np.ones(2))
         with pytest.raises(ValidationError):

@@ -6,6 +6,7 @@ from maximin import (
     PenaltyConfig,
     SupportSet,
     TooFewObservations,
+    ValidationError,
     consecutive_blocks,
     cv_group_count,
     fit_reweighted,
@@ -55,6 +56,13 @@ class TestCvGroupCount:
         with pytest.raises(TooFewObservations):
             cv_group_count(ds, [2], splits=2, g_test=5, config=L2FREE,
                            seed=0, min_block=200)
+
+    def test_zero_splits_rejected(self):
+        rng = np.random.default_rng(3)
+        ds = homogeneous(rng)
+        with pytest.raises(ValidationError, match="splits"):
+            cv_group_count(ds, [2], splits=0, g_test=3, config=L2FREE,
+                           seed=0, min_block=50)
 
     def test_homogeneous_curve_flat_within_noise(self):
         # a single true coefficient: scores differ only by block noise, so
