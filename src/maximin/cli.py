@@ -39,9 +39,6 @@ EXIT_SOLVER = 3
 def _default_support(p: int, scenario: str) -> SupportSet:
     """A small built-in coefficient support with a nonzero worst-case signal:
     a shared first component plus scenario-specific second components."""
-    if p < 1:
-        raise ValidationError("p must be >= 1")
-
     def vec(second):
         b = np.zeros(p)
         b[0] = 1.0
@@ -58,6 +55,8 @@ def _default_support(p: int, scenario: str) -> SupportSet:
 
 def _cmd_simulate(args) -> int:
     n, p, seed = args.n, args.p, args.seed
+    if args.scenario != "figure2" and p < 1:  # figure2 has p = 2 built in
+        raise ValidationError("p must be >= 1")
     if args.scenario == "figure2":
         out = simulate.gen_figure2(n, seed=seed, sigma_noise=args.sigma_noise)
         essential = out.support
@@ -72,8 +71,6 @@ def _cmd_simulate(args) -> int:
                                         sigma_noise=args.sigma_noise, seed=seed)
         essential = out.support
     else:  # contaminated
-        if p < 1:
-            raise ValidationError("p must be >= 1")
         b_star = np.zeros(p)
         b_star[0] = 1.0
         out = simulate.gen_contaminated(n, p, b_star, [2.0 * b_star],

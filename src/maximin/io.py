@@ -166,7 +166,10 @@ def read_csv(path, has_header: bool = True, y_column: str = "y",
     ``float()`` reads them.
     """
     with _file_errors(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        parsed = _parse_table(fh, path, has_header, y_column, group_column)
+        # a table with a group column (text labels) is read cell by cell
+        parsed = None
+        if group_column is None:
+            parsed = _parse_table(fh, path, has_header, y_column)
         if parsed is None:
             fh.seek(0)
             parsed = _parse_cells(fh, path, has_header, y_column, group_column)
@@ -217,8 +220,8 @@ def _skip_blank_lines(fh) -> bool:
             return True
 
 
-def _parse_table(fh, path, has_header, y_column, group_column):
-    """Read the table with numpy's C parser.
+def _parse_table(fh, path, has_header, y_column):
+    """Read a table without a group column with numpy's C parser.
 
     Returns None when the parser rejects the file, or a row is not as wide
     as the header, or there is no data row: the cell-by-cell reader then
@@ -234,36 +237,16 @@ def _parse_table(fh, path, has_header, y_column, group_column):
         header = [h.strip() for h in header]
     if not _skip_blank_lines(fh):
         return None
-    start = fh.tell()
-    if group_column is None:
-        try:
-            cells = np.loadtxt(fh, **_LOADTXT)
-        except ValueError:
-            return None
-        width = cells.shape[1]
-    else:
-        # labels are text: csv.reader reads them, and the width of every row,
-        # which loadtxt's usecols would not check
-        rows = [row for row in csv.reader(fh) if row]
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            return None
-    if header is None:
-        header = [str(i + 1) for i in range(width)]
-    if width != len(header):
-        return None
-    y_pos, group_pos, x_pos = _columns(path, header, y_column, group_column)
-    if group_pos is None:
-        return header, x_pos, cells[:, x_pos], cells[:, y_pos], None
-    fh.seek(start)
     try:
-        table = np.loadtxt(fh, usecols=x_pos + [y_pos], **_LOADTXT)
+        cells = np.loadtxt(fh, **_LOADTXT)
     except ValueError:
         return None
-    if table.shape[0] != len(rows):
+    if header is None:
+        header = [str(i + 1) for i in range(cells.shape[1])]
+    if cells.shape[1] != len(header):
         return None
-    labels = np.array([row[group_pos] for row in rows])
-    return header, x_pos, table[:, :-1], table[:, -1], labels
+    y_pos, _, x_pos = _columns(path, header, y_column, None)
+    return header, x_pos, cells[:, x_pos], cells[:, y_pos], None
 
 
 def _parse_cells(fh, path, has_header, y_column, group_column):

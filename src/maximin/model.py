@@ -154,16 +154,16 @@ class PenaltyConfig:
             raise ValidationError(f"penalty q must be {L1!r} or {L2!r}, got {self.q!r}")
         if self.mode not in (MODE_PENALIZED, MODE_CONSTRAINED, MODE_MAXIMAL):
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:  # also rejects NaN
             raise ValidationError("lam must be >= 0")
         if self.mode == MODE_CONSTRAINED:
-            if self.kappa is None or self.kappa <= 0.0:
+            if self.kappa is None or not self.kappa > 0.0:
                 raise ValidationError("constrained mode needs kappa > 0")
         if not (0.0 < self.zeta < 1.0):
             raise ValidationError("zeta must lie strictly inside (0, 1)")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be a positive integer")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValidationError("tol must be positive")
 
 

@@ -46,6 +46,11 @@ class SimOutput:
         return self.coeff_table[self.assignments]
 
 
+def _check_n(n):
+    if n < 1:
+        raise ValidationError("n must be at least 1")
+
+
 def _draw_design(rng, n, p, sigma, design, bound):
     """Predictor rows with population Gram ``sigma`` (or the bounded variant).
 
@@ -103,6 +108,7 @@ def gen_finite_mixture(n, p, support: SupportSet, mix_weights=None,
                        sigma_noise=0.0, seed=0, design=GAUSSIAN, bound=1.0,
                        noise=GAUSSIAN, noise_df=None) -> SimOutput:
     """Classic finite mixture: iid coefficient assignments from the support."""
+    _check_n(n)
     if support.p != p:
         raise ValidationError(f"support dimension {support.p} != p={p}")
     d = support.d
@@ -128,6 +134,7 @@ def gen_jump_process(n, p, support: SupportSet, delta, sigma_noise=0.0,
     """Markov regime chain: keep the current coefficient with probability
     1 - delta, otherwise resample uniformly among all J support points (so
     the total stay probability is 1 - delta + delta/J)."""
+    _check_n(n)
     if not (0.0 <= delta <= 1.0):
         raise ValidationError("delta must lie in [0, 1]")
     if support.p != p:
@@ -159,6 +166,7 @@ def gen_contaminated(n, p, b_star, contam_support, epsilon, sigma_noise=0.0,
     coefficient is exactly b* (misaligned contaminants can only shrink it
     toward zero).
     """
+    _check_n(n)
     if not (0.0 <= epsilon < 1.0):
         raise ValidationError("epsilon must lie in [0, 1)")
     b_star = np.asarray(b_star, dtype=np.float64)

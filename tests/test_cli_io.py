@@ -440,6 +440,25 @@ class TestCliSurface:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: p must be >= 1")
 
+    @pytest.mark.parametrize("scenario,n", [
+        ("mixture", "-1"), ("jump", "-1"), ("contaminated", "-1"),
+        ("mixture", "0"), ("jump", "0"), ("contaminated", "0"),
+    ])
+    def test_simulate_without_observations_is_a_validation_error(
+            self, tmp_path, capsys, scenario, n):
+        code = cli_main(["simulate", "--scenario", scenario, "--n", n,
+                         "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: n must be at least 1")
+
+    def test_nan_penalty_is_a_validation_error(self, tmp_path, capsys):
+        (tmp_path / "d.csv").write_text("y,x1\n1,2\n3,4\n5,7\n6,1\n")
+        code = cli_main(["fit", "--data", str(tmp_path / "d.csv"),
+                         "--groups", "blocks:2", "--penalty", "l2",
+                         "--mode", "lambda:nan", "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: lam must be >= 0")
+
     def test_import_loads_no_scipy(self):
         # scipy costs about a second per interpreter; only the bounded
         # design and the l2 penalty root-find load it, when they run

@@ -133,6 +133,9 @@ class TestPenaltyConfig:
         dict(tol=0.0),
         dict(q="l3"),
         dict(mode="ridge"),
+        dict(lam=float("nan")),
+        dict(mode="constrained", kappa=float("nan")),
+        dict(tol=float("nan")),
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValidationError):
