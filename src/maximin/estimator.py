@@ -407,7 +407,11 @@ def fit_maximal_penalty(cross_products, config: PenaltyConfig | None = None) -> 
         raise ValidationError("the maximal-penalty direction is defined for the l1 penalty")
     C = np.atleast_2d(np.asarray(cross_products, dtype=np.float64))
     G, p = C.shape
-    A = np.hstack([C, -C, -np.eye(G)])
+    # [C, -C, -I] written in place: no temporary the size of C
+    A = np.empty((G, 2 * p + G))
+    A[:, :p] = C
+    np.negative(C, out=A[:, p:2 * p])
+    A[:, 2 * p:] = -np.eye(G)
     b = np.ones(G)
     c = np.concatenate([np.ones(2 * p), np.zeros(G)])
     res = simplex_solve(c, A, b)
@@ -427,6 +431,11 @@ def rescale(beta, dataset: Dataset, spec: GroupSpec, tol: float = 1e-12) -> floa
         raise ValidationError("rescale needs a nonzero direction")
     validate(dataset, spec)
     grams, crosses, _ = _group_stats(dataset, spec)
+    return _rescale(beta, grams, crosses, tol)
+
+
+def _rescale(beta, grams, crosses, tol: float = 1e-12) -> float:
+    """:func:`rescale` on group statistics already built from validated data."""
     a = crosses @ beta
     q = np.einsum("gij,i,j->g", grams, beta, beta)
     if float(a.min()) <= 0.0:
@@ -481,7 +490,7 @@ def fit_with_config(dataset: Dataset, spec: GroupSpec,
     validate(dataset, spec)
     grams, crosses, _ = _group_stats(dataset, spec)
     direction = fit_maximal_penalty(crosses, config)
-    s = rescale(direction, dataset, spec)
+    s = _rescale(direction, grams, crosses)
     group_V = _group_variances(grams, crosses, s * direction)
     return MaximinFit(beta=direction, group_V=group_V, scale=s,
                       iterations=0, converged=True)

@@ -20,6 +20,7 @@ from maximin import (
     rescale,
     update_weights,
 )
+from maximin import estimator
 
 L1CFG = PenaltyConfig(q="l1", mode="maximal")
 
@@ -260,6 +261,18 @@ class TestReweightedMultiGroup:
         fit = fit_with_config(ds, spec, PenaltyConfig(q="l1", mode="maximal"))
         assert fit.scale > 0.0
         assert fit.group_V.shape == (2,)
+        # the scale is the public rescale of the direction, to the last bit
+        assert fit.scale == rescale(fit.beta, ds, spec)
+
+    def test_maximal_mode_validates_once(self, monkeypatch):
+        calls = []
+        real = estimator.validate
+        monkeypatch.setattr(estimator, "validate",
+                            lambda *a: calls.append(1) or real(*a))
+        rng = np.random.default_rng(13)
+        ds, spec = two_group_data(rng, [1.0, 0.3], [1.0, -0.3], 100)
+        fit_with_config(ds, spec, PenaltyConfig(q="l1", mode="maximal"))
+        assert len(calls) == 1
 
 
 class TestBasicInequality:
