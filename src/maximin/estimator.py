@@ -12,7 +12,7 @@ Two routes to an estimate:
   estimator approaches as the penalty grows to its vanishing threshold, as a
   linear program over per-group cross-products only: the design matrix never
   enters, so storage is O(pG).  :func:`rescale` then restores a prediction
-  scale by a one-dimensional concave search.
+  scale exactly, from one parabola per group.
 """
 
 from __future__ import annotations
@@ -178,32 +178,6 @@ def _solve_weighted_l2(A, d, lam):
     return evecs @ (d_tilde / (evals + mu))
 
 
-_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section(f, lo, hi, iters=40):
-    """Maximize a scalar function on [lo, hi]; returns (argmax, max).
-
-    Exact for concave f, a safe improvement heuristic otherwise (callers
-    compare against the interval endpoints anyway).
-    """
-    a, b = lo, hi
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(x1)
-    ends = [(lo, f(lo)), (hi, f(hi)), (x1, f1), (x2, f2)]
-    return max(ends, key=lambda t: t[1])
-
-
 def _log_power_merit(group_V, sizes, zeta):
     """log of (sum_g n_g V_g^zeta)^(1/zeta); NaN whenever some group variance
     is nonpositive.
@@ -220,20 +194,43 @@ def _log_power_merit(group_V, sizes, zeta):
     return float(np.log((sizes * np.power(v, zeta)).sum()) / zeta)
 
 
-def _clamped_power_merit(group_V, sizes, zeta, floor):
-    """sum_g n_g h(V_g) with h the power curve V^zeta continued below the
-    floor by its tangent line.
+def _line_search_step(v0, slope, curv, sizes, zeta, floor) -> float:
+    """Step s in [0, 1] maximizing sum_g n_g h(v0_g + s slope_g - s^2 curv_g),
+    with h the power curve V^zeta continued below the floor by its tangent.
 
-    The tangent continuation keeps h concave and strictly increasing, and its
-    slope at clamped values is exactly the clamped weight formula, so the
-    weighted subproblem's solution is an ascent direction for this merit.  A
-    flat clamp would instead be blind to how negative a bad group gets.
+    h is concave and strictly increasing, so the merit is concave in s, and
+    its slope is a positive multiple of the clamped weight mass at V(s) times
+    dV/ds: the outer loop's own weights make the weighted solution an ascent
+    direction, where a flat clamp would be blind to how negative a bad group
+    gets.  Bisection on the sign of that slope runs to adjacent floats.
     """
-    v = np.asarray(group_V, dtype=np.float64)
-    h = np.where(v >= floor,
-                 np.power(np.maximum(v, floor), zeta),
-                 floor ** zeta + zeta * floor ** (zeta - 1.0) * (v - floor))
-    return float((sizes * h).sum())
+    def rising(s):
+        V = v0 + s * slope - s * s * curv
+        return _group_mass(V, zeta, floor, sizes) @ (slope - 2.0 * s * curv) > 0.0
+
+    if not rising(0.0):
+        return 0.0
+    if rising(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    mid = 0.5
+    while lo < mid < hi:
+        if rising(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+def _lambda_max(crosses, sizes, q: str) -> float:
+    """:func:`lambda_max` on group statistics."""
+    pooled = sizes @ crosses / sizes.sum()
+    if q == L1:
+        return 2.0 * float(np.abs(pooled).max())
+    if q == L2:
+        return 2.0 * float(np.linalg.norm(pooled))
+    raise ValidationError(f"penalty q must be {L1!r} or {L2!r}")
 
 
 def lambda_max(dataset: Dataset, spec: GroupSpec, q: str = L1) -> float:
@@ -244,12 +241,7 @@ def lambda_max(dataset: Dataset, spec: GroupSpec, q: str = L1) -> float:
     """
     validate(dataset, spec)
     _, crosses, sizes = _group_stats(dataset, spec)
-    pooled = sizes @ crosses / sizes.sum()
-    if q == L1:
-        return 2.0 * float(np.abs(pooled).max())
-    if q == L2:
-        return 2.0 * float(np.linalg.norm(pooled))
-    raise ValidationError(f"penalty q must be {L1!r} or {L2!r}")
+    return _lambda_max(crosses, sizes, q)
 
 
 def _norm_q(beta, q):
@@ -283,16 +275,13 @@ def _fit_at_lambda(grams, crosses, sizes, config: PenaltyConfig, lam: float) -> 
         if iterations > 1:
             floor = WEIGHT_FLOOR_SCALE * max(1.0, float(group_V.max()))
             direction = cand - beta
-
-            def merit_at(step):
-                V_s = _group_variances(grams, crosses, beta + step * direction)
-                return _clamped_power_merit(V_s, sizes, config.zeta, floor)
-
-            best_step, best_merit = _golden_section(merit_at, 0.0, 1.0)
-            if best_merit >= merit_at(0.0):
-                cand = beta + best_step * direction
-            else:
-                cand = beta
+            # V_g(beta + s d) = V_g(beta) + s slope_g - s^2 curv_g
+            Gd = grams @ direction
+            slope = 2.0 * (crosses @ direction - Gd @ beta)
+            curv = Gd @ direction
+            step = _line_search_step(group_V, slope, curv, sizes,
+                                     config.zeta, floor)
+            cand = beta + step * direction
 
         V_new = _group_variances(grams, crosses, cand)
         delta = float(np.abs(V_new - group_V).max())
@@ -346,11 +335,19 @@ def fit_reweighted(dataset: Dataset, spec: GroupSpec,
     if config.mode == MODE_MAXIMAL:
         raise ValidationError("maximal mode is computed by fit_maximal_penalty")
     grams, crosses, sizes = _group_stats(dataset, spec)
+    return _fit_reweighted(grams, crosses, sizes, config, _dead_level(dataset))
 
-    # a fit is "dead" when even its best group explains nothing beyond
-    # numerical dust relative to the response scale
-    dead_level = 1e-12 * max(1.0, float(dataset.Y @ dataset.Y) / dataset.n)
 
+def _dead_level(dataset: Dataset) -> float:
+    """A fit is "dead" when even its best group explains nothing beyond
+    numerical dust relative to the response scale."""
+    return 1e-12 * max(1.0, float(dataset.Y @ dataset.Y) / dataset.n)
+
+
+def _fit_reweighted(grams, crosses, sizes, config: PenaltyConfig,
+                    dead_level: float) -> MaximinFit:
+    """:func:`fit_reweighted` on group statistics already built from
+    validated data."""
     if config.mode == MODE_PENALIZED:
         fit = _fit_at_lambda(grams, crosses, sizes, config, config.lam)
         if config.lam == 0.0 and float(fit.group_V.max()) <= dead_level:
@@ -367,8 +364,7 @@ def fit_reweighted(dataset: Dataset, spec: GroupSpec,
                 "no coefficient vector positively explains any group")
         return fit0
 
-    pooled = sizes @ crosses / sizes.sum()
-    hi = 2.0 * (np.abs(pooled).max() if config.q == L1 else np.linalg.norm(pooled))
+    hi = _lambda_max(crosses, sizes, config.q)
     fit_hi = _fit_at_lambda(grams, crosses, sizes, config, hi)
     guard = 0
     while _norm_q(fit_hi.beta, config.q) > kappa and guard < 60:
@@ -418,68 +414,53 @@ def fit_maximal_penalty(cross_products, config: PenaltyConfig | None = None) -> 
     return res.x[:p] - res.x[p:2 * p]
 
 
-def rescale(beta, dataset: Dataset, spec: GroupSpec, tol: float = 1e-12) -> float:
+def rescale(beta, dataset: Dataset, spec: GroupSpec) -> float:
     """Optimal prediction scale for a fixed direction.
 
     Maximizes  min_g (2 s beta'c_g - s^2 beta' Gram_g beta)  over s >= 0, a
-    minimum of concave parabolas, by ternary search.  Zero is returned
-    whenever some group's alignment is nonpositive (the objective then slopes
-    down immediately).
+    minimum of concave parabolas, exactly: see :func:`_rescale`.  Zero is
+    returned whenever some group's alignment is nonpositive (the objective
+    then slopes down immediately).
     """
     beta = np.asarray(beta, dtype=np.float64)
     if not np.any(beta):
         raise ValidationError("rescale needs a nonzero direction")
     validate(dataset, spec)
     grams, crosses, _ = _group_stats(dataset, spec)
-    return _rescale(beta, grams, crosses, tol)
+    return _rescale(beta, grams, crosses)
 
 
-def _rescale(beta, grams, crosses, tol: float = 1e-12) -> float:
-    """:func:`rescale` on group statistics already built from validated data."""
+def _rescale(beta, grams, crosses) -> float:
+    """:func:`rescale` on group statistics already built from validated data.
+
+    With a_g = beta'c_g and q_g = beta' Gram_g beta the objective is
+    s * min_g (2 a_g - s q_g), so on each stretch where line k is the lowest
+    of the lines 2 a_g - s q_g its best point is the vertex a_k / q_k.  The
+    walk follows that lower envelope from s = 0: on the active line it stops
+    at the vertex (clipped below at the kink where the line took over),
+    unless a steeper line crosses first, in which case it moves to that
+    crossing.  Every move goes to a strictly steeper line, so there are at
+    most G of them.
+    """
     a = crosses @ beta
     q = np.einsum("gij,i,j->g", grams, beta, beta)
     if float(a.min()) <= 0.0:
         return 0.0
-    with np.errstate(divide="ignore"):
-        vertices = np.where(q > 0.0, a / np.maximum(q, 1e-300), np.inf)
-    finite = vertices[np.isfinite(vertices)]
-    if finite.size == 0:
+    k = int(np.lexsort((-q, a))[0])     # lowest at s = 0, steepest on ties
+    kink = 0.0
+    while True:
+        vertex = max(a[k] / q[k], kink) if q[k] > 0.0 else np.inf
+        steeper = np.flatnonzero(q > q[k])
+        if steeper.size == 0:
+            break
+        cross = 2.0 * (a[steeper] - a[k]) / (q[steeper] - q[k])
+        j = int(cross.argmin())
+        if cross[j] >= vertex:
+            break
+        k, kink = int(steeper[j]), max(float(cross[j]), kink)
+    if q[k] <= 0.0:
         raise SolverError("all group quadratic terms vanish for this direction")
-    lo, hi = 0.0, 2.0 * float(finite.max())
-
-    top = hi
-
-    def objective(s):
-        return float((2.0 * s * a - s * s * q).min())
-
-    while hi - lo > tol * (1.0 + hi):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if objective(m1) < objective(m2):
-            lo = m1
-        else:
-            hi = m2
-    s = 0.5 * (lo + hi)
-
-    # polish: the optimum is either the vertex of the active parabola or a
-    # crossing of two active parabolas; value comparisons alone stall at
-    # sqrt(eps) accuracy near the flat top
-    values = 2.0 * s * a - s * s * q
-    active = np.where(values <= values.min() + 1e-6 * (1.0 + abs(values.min())))[0]
-    candidates = []
-    for g in active:
-        if q[g] > 0.0:
-            candidates.append(a[g] / q[g])
-    for i in active:
-        for j in active:
-            if i < j and abs(q[i] - q[j]) > 1e-300:
-                candidates.append(2.0 * (a[i] - a[j]) / (q[i] - q[j]))
-    # ternary point goes last: max() keeps the first of a tie, so an exact
-    # vertex beats an equal-valued approximate point
-    candidates.append(s)
-    best = max((c for c in candidates if 0.0 <= c <= top),
-               key=objective, default=s)
-    return float(best)
+    return float(vertex)
 
 
 def fit_with_config(dataset: Dataset, spec: GroupSpec,

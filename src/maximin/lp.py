@@ -104,7 +104,11 @@ def _run_phase(A, rowscale, cost, T, basis, d, work, alpha, tol, max_iter):
 
 
 def simplex_solve(c, A, b, *, tol: float = 1e-9, max_iter: int | None = None) -> LpResult:
-    """Two-phase simplex on the standard form min c'x, Ax = b, x >= 0."""
+    """Two-phase simplex on the standard form min c'x, Ax = b, x >= 0.
+
+    ``max_iter`` (default 200 + 100(m+1)) caps the pivots of the whole
+    solve, both phases together; reaching it raises :class:`NonConverged`.
+    """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -163,7 +167,9 @@ def simplex_solve(c, A, b, *, tol: float = 1e-9, max_iter: int | None = None) ->
     c_basic = np.zeros(m)
     c_basic[keep] = c[basis[keep]]
     T[-1] = -(c_basic @ T[:m])
-    iters += _run_phase(A, rowscale, c, T, basis, d, work, alpha, tol, max_iter)
+    # max_iter caps the whole solve: phase 2 gets what phase 1 left
+    iters += _run_phase(A, rowscale, c, T, basis, d, work, alpha, tol,
+                        max_iter - iters)
 
     x = np.zeros(n)
     keep = basis < n

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import TooFewObservations, ValidationError
-from .estimator import fit_reweighted, fit_with_config
+from .estimator import _dead_level, _fit_reweighted, _group_stats, fit_with_config
 from .grouping import consecutive_blocks, rng_from_seed, sample_groups
 from .model import (
     MODE_PENALIZED,
@@ -168,12 +168,16 @@ def select_penalty(dataset: Dataset, spec: GroupSpec, lambda_grid, seed: int = 0
         train_groups.append(np.setdiff1d(idx, held))
         hold_groups.append(np.sort(held))
 
+    # the training groups are nonempty subsets of validated groups, so their
+    # statistics are built once and shared by every penalty level
     train_spec = GroupSpec(groups=tuple(train_groups), replacement=spec.replacement)
+    stats = _group_stats(dataset, train_spec)
+    dead_level = _dead_level(dataset)
     best_lam, best_score = grid[-1], -np.inf
     for lam in grid:
         cfg = PenaltyConfig(q=base.q, mode=MODE_PENALIZED, lam=lam,
                             zeta=base.zeta, max_iter=base.max_iter, tol=base.tol)
-        fit = fit_reweighted(dataset, train_spec, cfg)
+        fit = _fit_reweighted(*stats, cfg, dead_level)
         score = min(emp_explained_variance(dataset, held, fit.beta)
                     for held in hold_groups)
         if score >= best_score:

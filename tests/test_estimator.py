@@ -8,6 +8,7 @@ from maximin import (
     GroupSpec,
     Infeasible,
     PenaltyConfig,
+    SolverError,
     SupportSet,
     ValidationError,
     consecutive_blocks,
@@ -431,6 +432,100 @@ class TestRescale:
         ds, spec = self._engineer([1.0], [1.0])
         with pytest.raises(ValidationError):
             rescale([0.0, 0.0], ds, spec)
+
+
+def _envelope_objective(s, a, q):
+    return s * float((2.0 * a - s * q).min())
+
+
+def _envelope_oracle(a, q):
+    """Best of 0, every vertex a_g / q_g and every pairwise crossing of the
+    lines 2 a_g - s q_g."""
+    cands = [0.0] + [a[g] / q[g] for g in range(len(a)) if q[g] > 0.0]
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            if q[i] != q[j]:
+                s = 2.0 * (a[i] - a[j]) / (q[i] - q[j])
+                if s >= 0.0:
+                    cands.append(s)
+    return max(cands, key=lambda s: _envelope_objective(s, a, q))
+
+
+class TestExactRescale:
+    """The envelope walk of ``_rescale`` on one-coordinate statistics, where
+    a_g and q_g are the cross-products and Grams themselves."""
+
+    def _walk(self, a, q):
+        return estimator._rescale(np.ones(1), np.asarray(q, float)[:, None, None],
+                                  np.asarray(a, float)[:, None])
+
+    def test_kink_beats_clipped_vertex(self):
+        # the steep group's vertex 0.03 lies left of where it takes over
+        assert self._walk([1.0, 3.0], [0.0, 100.0]) == pytest.approx(0.04, rel=1e-15)
+
+    def test_matches_brute_force_oracle(self):
+        rng = np.random.default_rng(1406)
+        for _ in range(10_000):
+            G = int(rng.integers(1, 7))
+            a = rng.uniform(0.05, 2.0, G)
+            q = rng.exponential(1.0, G)
+            q[rng.random(G) < 0.3] = 0.0
+            if not np.any(q > 0.0):
+                with pytest.raises(SolverError):
+                    self._walk(a, q)
+                continue
+            s = self._walk(a, q)
+            best = _envelope_oracle(a, q)
+            assert s == pytest.approx(best, rel=1e-9, abs=1e-12)
+            assert _envelope_objective(s, a, q) >= \
+                _envelope_objective(best, a, q) * (1.0 - 1e-12)
+
+    def test_nonpositive_alignment_gives_zero(self):
+        assert self._walk([1.0, 0.0, 2.0], [1.0, 0.0, 3.0]) == 0.0
+
+    def test_ties_at_the_start(self):
+        # equal alignments: the steepest line is the envelope from s = 0
+        assert self._walk([1.0, 1.0, 1.0], [0.0, 2.0, 1.0]) == pytest.approx(0.5)
+
+
+def _tangent_merit(s, v0, slope, curv, sizes, zeta, floor):
+    """sum_g n_g h(V_g(s)), h = V^zeta continued below floor by its tangent."""
+    s = np.asarray(s, dtype=float)[..., None]
+    v = v0 + s * slope - s * s * curv
+    h = np.where(v >= floor, np.power(np.maximum(v, floor), zeta),
+                 floor ** zeta + zeta * floor ** (zeta - 1.0) * (v - floor))
+    return h @ sizes
+
+
+class TestLineSearchStep:
+    def test_against_dense_grid(self):
+        rng = np.random.default_rng(5)
+        grid = np.linspace(0.0, 1.0, 20_001)
+        ends = {0.0: 0, 1.0: 0}
+        for _ in range(300):
+            G = int(rng.integers(1, 6))
+            v0 = rng.uniform(-0.5, 1.0, G)
+            slope = rng.normal(0.0, 1.0, G)
+            curv = rng.exponential(0.5, G)
+            sizes = rng.integers(1, 50, G).astype(float)
+            zeta = float(rng.uniform(0.05, 0.95))
+            floor = 1e-6 * max(1.0, float(v0.max()))
+            args = (v0, slope, curv, sizes, zeta, floor)
+            s = estimator._line_search_step(*args)
+            assert 0.0 <= s <= 1.0
+            if s in ends:
+                ends[s] += 1
+            ref = float(_tangent_merit(grid, *args).max())
+            assert _tangent_merit(s, *args) >= ref - 1e-12 * (1.0 + abs(ref))
+        # both clipped ends occur, besides interior steps
+        assert ends[0.0] > 0 and ends[1.0] > 0
+
+    def test_interior_maximum_of_one_parabola(self):
+        # a single unclamped group peaks at its parabola's vertex
+        s = estimator._line_search_step(np.array([0.5]), np.array([1.0]),
+                                        np.array([2.0]), np.array([10.0]),
+                                        0.5, 1e-6)
+        assert s == pytest.approx(0.25, rel=1e-12)
 
 
 class TestDirectionLimit:

@@ -50,6 +50,25 @@ def test_iteration_cap():
         simplex_solve(np.ones(3), A, np.array([1.0, 2.0]), max_iter=1)
 
 
+def test_iteration_cap_covers_both_phases(monkeypatch):
+    # each phase fits under the cap on its own, the two together do not
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((3, 8))
+    b = A @ rng.uniform(0.5, 1.5, size=8)
+    c = np.abs(rng.standard_normal(8))
+    phases = []
+    real = lp._run_phase
+    monkeypatch.setattr(lp, "_run_phase",
+                        lambda *a: phases.append(real(*a)) or phases[-1])
+    res = simplex_solve(c, A, b)
+    p1, p2 = phases
+    assert p1 >= 2 and p2 >= 2
+    assert res.iterations == p1 + p2
+    with pytest.raises(NonConverged):
+        simplex_solve(c, A, b, max_iter=max(p1, p2) + 1)
+    assert simplex_solve(c, A, b, max_iter=p1 + p2 + 1).iterations == p1 + p2
+
+
 def test_inputs_left_unchanged():
     # rows with unequal scales and a negative right-hand side exercise the
     # row scaling and the sign flip

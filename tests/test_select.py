@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from maximin import estimator, select
 from maximin import (
+    AllGroupsNonpositive,
     Dataset,
     PenaltyConfig,
     SupportSet,
@@ -158,3 +160,21 @@ class TestSelectPenalty:
         grid = [0.0, 0.1, 0.3]
         assert select_penalty(ds, spec, grid, seed=5) == \
             select_penalty(ds, spec, grid, seed=5)
+
+    def test_validates_once(self, monkeypatch):
+        # one check of the data and groups, not one per penalty level
+        calls = []
+        for module in (select, estimator):
+            real = module.validate
+            monkeypatch.setattr(module, "validate",
+                                lambda *a, real=real: calls.append(1) or real(*a))
+        rng = np.random.default_rng(10)
+        ds, spec = self._grouped_data(rng, n_g=100)
+        select_penalty(ds, spec, [0.0, 0.05, 0.2], seed=0)
+        assert len(calls) == 1
+
+    def test_unpenalized_dead_fit_still_raises(self):
+        rng = np.random.default_rng(11)
+        ds = Dataset(X=rng.standard_normal((200, 3)), Y=np.zeros(200))
+        with pytest.raises(AllGroupsNonpositive):
+            select_penalty(ds, consecutive_blocks(200, 2), [0.0, 0.1], seed=0)
