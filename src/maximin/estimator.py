@@ -83,14 +83,14 @@ def update_weights(group_V, zeta: float, floor: float, group_sizes=None) -> Weig
     return WeightState(w=np.repeat(mass / sizes, sizes.astype(np.int64)))
 
 
-def _group_stats(dataset: Dataset, spec: GroupSpec):
-    """Per-group Gram matrices, cross-products and sizes."""
-    G = spec.n_groups
+def _group_stats(dataset: Dataset, groups):
+    """Gram matrices, cross-products and sizes of the given index sets."""
+    G = len(groups)
     p = dataset.p
     grams = np.empty((G, p, p))
     crosses = np.empty((G, p))
     sizes = np.empty(G)
-    for g, idx in enumerate(spec.groups):
+    for g, idx in enumerate(groups):
         Xg = dataset.X[idx]
         Yg = dataset.Y[idx]
         n_g = idx.shape[0]
@@ -102,8 +102,7 @@ def _group_stats(dataset: Dataset, spec: GroupSpec):
 
 def _group_variances(grams, crosses, beta):
     """Empirical explained variance of beta in every group at once."""
-    quad = np.einsum("gij,i,j->g", grams, beta, beta)
-    return 2.0 * crosses @ beta - quad
+    return 2.0 * crosses @ beta - (grams @ beta) @ beta
 
 
 def _soft_threshold(z, t):
@@ -185,8 +184,8 @@ def _log_power_merit(group_V, sizes, zeta):
     With N = sum_g n_g this is log N / zeta plus the log of the size-weighted
     power mean (sum_g (n_g / N) V_g^zeta)^(1/zeta).  For zeta in (0, 1) that
     mean lies between the geometric and the arithmetic mean of the group
-    variances: it is not a soft minimum (see "Certify the worst-group
-    objective" in ROADMAP.md).
+    variances: it is not a soft minimum (see "Exact empirical maximin with a
+    duality-gap certificate" in ROADMAP.md).
     """
     v = np.asarray(group_V, dtype=np.float64)
     if np.any(v <= 0.0):
@@ -240,7 +239,7 @@ def lambda_max(dataset: Dataset, spec: GroupSpec, q: str = L1) -> float:
     cross-product; a valid bracket endpoint for penalty searches.
     """
     validate(dataset, spec)
-    _, crosses, sizes = _group_stats(dataset, spec)
+    _, crosses, sizes = _group_stats(dataset, spec.groups)
     return _lambda_max(crosses, sizes, q)
 
 
@@ -251,9 +250,10 @@ def _norm_q(beta, q):
 def _fit_at_lambda(grams, crosses, sizes, config: PenaltyConfig, lam: float) -> MaximinFit:
     """The outer reweighting loop at one fixed penalty level."""
     G, p = crosses.shape
+    flat_grams = grams.reshape(G, p * p)
     mass = sizes / sizes.sum()          # uniform per-observation start
     beta = np.zeros(p)
-    group_V = _group_variances(grams, crosses, beta)
+    group_V = np.zeros(G)
     inner_tol = max(1e-14, 0.01 * config.tol)
     path = []
     best_beta, best_V, best_score = beta, group_V, -np.inf
@@ -261,29 +261,32 @@ def _fit_at_lambda(grams, crosses, sizes, config: PenaltyConfig, lam: float) -> 
     iterations = 0
 
     for iterations in range(1, config.max_iter + 1):
-        A = np.einsum("g,gij->ij", mass, grams)
+        A = (mass @ flat_grams).reshape(p, p)
         d = mass @ crosses
         if config.q == L1:
             cand = _solve_weighted_l1(A, d, lam, beta, inner_tol)
         else:
             cand = _solve_weighted_l2(A, d, lam)
 
+        # V_g(beta + s d) = V_g(beta) + s slope_g - s^2 curv_g, so the new
+        # group values come from the parabolas without another pass over
+        # the Gram matrices
+        direction = cand - beta
+        Gd = grams @ direction
+        slope = 2.0 * (crosses @ direction - Gd @ beta)
+        curv = Gd @ direction
+        step = 1.0
         # line-search the outer step on the tangent-continued power merit;
         # the raw update is bang-bang as soon as groups clamp at the floor,
         # and even on the positive region the full linearized step
         # overshoots, so the loop would otherwise creep or oscillate
         if iterations > 1:
             floor = WEIGHT_FLOOR_SCALE * max(1.0, float(group_V.max()))
-            direction = cand - beta
-            # V_g(beta + s d) = V_g(beta) + s slope_g - s^2 curv_g
-            Gd = grams @ direction
-            slope = 2.0 * (crosses @ direction - Gd @ beta)
-            curv = Gd @ direction
             step = _line_search_step(group_V, slope, curv, sizes,
                                      config.zeta, floor)
             cand = beta + step * direction
 
-        V_new = _group_variances(grams, crosses, cand)
+        V_new = group_V + step * slope - step * step * curv
         delta = float(np.abs(V_new - group_V).max())
         beta, group_V = cand, V_new
         path.append(_log_power_merit(group_V, sizes, config.zeta))
@@ -319,8 +322,8 @@ def fit_reweighted(dataset: Dataset, spec: GroupSpec,
     size-weighted power mean of the group variances, between their
     geometric and arithmetic means: a surrogate for the worst-group value
     min_g V_g, not a soft minimum of it, and on inhomogeneous data the two
-    maximizers can lie far apart (see "Certify the worst-group objective"
-    in ROADMAP.md).
+    maximizers can lie far apart (see "Exact empirical maximin with a
+    duality-gap certificate" in ROADMAP.md).
 
     Constrained mode realizes the norm bound by bisecting the penalty level
     until the fitted norm lands within 1% of kappa; when even the
@@ -334,14 +337,14 @@ def fit_reweighted(dataset: Dataset, spec: GroupSpec,
     validate(dataset, spec)
     if config.mode == MODE_MAXIMAL:
         raise ValidationError("maximal mode is computed by fit_maximal_penalty")
-    grams, crosses, sizes = _group_stats(dataset, spec)
-    return _fit_reweighted(grams, crosses, sizes, config, _dead_level(dataset))
+    grams, crosses, sizes = _group_stats(dataset, spec.groups)
+    return _fit_reweighted(grams, crosses, sizes, config, _dead_level(dataset.Y))
 
 
-def _dead_level(dataset: Dataset) -> float:
+def _dead_level(Y) -> float:
     """A fit is "dead" when even its best group explains nothing beyond
-    numerical dust relative to the response scale."""
-    return 1e-12 * max(1.0, float(dataset.Y @ dataset.Y) / dataset.n)
+    numerical dust relative to the scale of the response Y."""
+    return 1e-12 * max(1.0, float(Y @ Y) / Y.shape[0])
 
 
 def _fit_reweighted(grams, crosses, sizes, config: PenaltyConfig,
@@ -426,7 +429,7 @@ def rescale(beta, dataset: Dataset, spec: GroupSpec) -> float:
     if not np.any(beta):
         raise ValidationError("rescale needs a nonzero direction")
     validate(dataset, spec)
-    grams, crosses, _ = _group_stats(dataset, spec)
+    grams, crosses, _ = _group_stats(dataset, spec.groups)
     return _rescale(beta, grams, crosses)
 
 
@@ -443,7 +446,7 @@ def _rescale(beta, grams, crosses) -> float:
     most G of them.
     """
     a = crosses @ beta
-    q = np.einsum("gij,i,j->g", grams, beta, beta)
+    q = (grams @ beta) @ beta
     if float(a.min()) <= 0.0:
         return 0.0
     k = int(np.lexsort((-q, a))[0])     # lowest at s = 0, steepest on ties
@@ -466,10 +469,17 @@ def _rescale(beta, grams, crosses) -> float:
 def fit_with_config(dataset: Dataset, spec: GroupSpec,
                     config: PenaltyConfig) -> MaximinFit:
     """Dispatch on the configured mode; maximal mode includes the rescale."""
-    if config.mode != MODE_MAXIMAL:
-        return fit_reweighted(dataset, spec, config)
     validate(dataset, spec)
-    grams, crosses, _ = _group_stats(dataset, spec)
+    return _fit_stats(*_group_stats(dataset, spec.groups), config,
+                      _dead_level(dataset.Y))
+
+
+def _fit_stats(grams, crosses, sizes, config: PenaltyConfig,
+               dead_level: float) -> MaximinFit:
+    """:func:`fit_with_config` on group statistics already built from
+    validated data."""
+    if config.mode != MODE_MAXIMAL:
+        return _fit_reweighted(grams, crosses, sizes, config, dead_level)
     direction = fit_maximal_penalty(crosses, config)
     s = _rescale(direction, grams, crosses)
     group_V = _group_variances(grams, crosses, s * direction)

@@ -41,17 +41,22 @@ def groups_from_labels(labels) -> GroupSpec:
     return GroupSpec(groups=groups, replacement=PARTITION)
 
 
-def consecutive_blocks(n: int, G: int) -> GroupSpec:
-    """G contiguous blocks covering 1..n, sizes differing by at most one.
-
-    The first n mod G blocks carry the extra observation.
-    """
+def _block_edges(n: int, G: int) -> np.ndarray:
+    """Edges 0 = e_0 < ... < e_G = n of the blocks of :func:`consecutive_blocks`."""
     if not (1 <= G <= n):
         raise InvalidSize(f"need 1 <= G <= n, got G={G}, n={n}")
     base, extra = divmod(n, G)
     sizes = np.full(G, base, dtype=np.int64)
     sizes[:extra] += 1
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    return np.concatenate([[0], np.cumsum(sizes)])
+
+
+def consecutive_blocks(n: int, G: int) -> GroupSpec:
+    """G contiguous blocks covering 1..n, sizes differing by at most one.
+
+    The first n mod G blocks carry the extra observation.
+    """
+    bounds = _block_edges(n, G)
     groups = tuple(np.arange(bounds[g], bounds[g + 1]) for g in range(G))
     return GroupSpec(groups=groups, replacement=PARTITION)
 

@@ -3,8 +3,13 @@
 The group-count search repeatedly halves the data, fits the worst-group
 estimator on blocks formed from one half and scores the worst explained
 variance over test blocks formed from the other half; the candidate with the
-best averaged worst-case score wins.  Ordered data use consecutive blocks
-everywhere, unordered data use random blocks.
+best averaged worst-case score wins.  Ordered data are split into two arcs
+of the series read as a circle, each cut into consecutive blocks; unordered
+data use random blocks.
+
+Both searches run on block statistics (Gram matrix, cross-product, size):
+the data are validated once per call, every block's statistics are built
+once per split, and each fit and each hold-out score reads only them.
 """
 
 from __future__ import annotations
@@ -14,9 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import (
+    _dead_level,
+    _fit_reweighted,
+    _fit_stats,
+    _group_stats,
+    _group_variances,
+)
 from .exceptions import TooFewObservations, ValidationError
-from .estimator import _dead_level, _fit_reweighted, _group_stats, fit_with_config
-from .grouping import consecutive_blocks, rng_from_seed, sample_groups
+from .grouping import _block_edges, rng_from_seed, sample_groups
 from .model import (
     MODE_PENALIZED,
     Dataset,
@@ -24,7 +35,6 @@ from .model import (
     PenaltyConfig,
     validate,
 )
-from .variance import emp_explained_variance
 
 DEFAULT_SPLITS = 100
 DEFAULT_G_TEST = 5
@@ -41,17 +51,15 @@ class CvResult:
     std_errors: np.ndarray
 
 
-def _subset(dataset: Dataset, idx: np.ndarray) -> Dataset:
-    return Dataset(X=dataset.X[idx], Y=dataset.Y[idx],
-                   time_ordered=dataset.time_ordered)
-
-
 def _halves(n: int, time_ordered: bool, rng) -> tuple[np.ndarray, np.ndarray]:
     """One random split into two half-samples.
 
-    Unordered data: a uniform shuffle.  Ordered data: two contiguous arcs
-    split at a random cut point (indices taken circularly), so both halves
-    stay consecutive while the cut varies across splits.
+    Unordered data: a uniform shuffle.  Ordered data: the series read as a
+    circle is split at a random cut point into two arcs, and each arc is
+    returned in sorted order.  A half is therefore at most two contiguous
+    runs of the series; when its arc wraps past the end, the half is the
+    start of the series followed by its end, and a block of consecutive
+    positions may join the two.
     """
     half = n // 2
     if time_ordered:
@@ -62,11 +70,45 @@ def _halves(n: int, time_ordered: bool, rng) -> tuple[np.ndarray, np.ndarray]:
     return perm[:half], perm[half:]
 
 
-def _blocks_for(n: int, G: int, time_ordered: bool, rng) -> GroupSpec:
-    if time_ordered:
-        return consecutive_blocks(n, G)
-    return sample_groups(n, G, n // G, replacement=False,
+def _ordered_stats(dataset: Dataset, half: np.ndarray, counts) -> list[tuple]:
+    """Statistics of the consecutive blocks of one ordered half, for each
+    block count.
+
+    The half is at most two contiguous runs of the series.  Cut at every
+    count's block edges and where a run ends, it falls into atoms, each a
+    contiguous slice of X (a view, not a copy).  Every atom's Gram matrix
+    and cross-product is computed once and each block sums its atoms, so
+    memory is O(atoms * p^2) whatever n is.
+    """
+    edges = [_block_edges(half.shape[0], G) for G in counts]
+    breaks = np.flatnonzero(np.diff(half) != 1) + 1
+    cuts = np.unique(np.concatenate([*edges, breaks]))
+    starts = cuts[:-1]
+    p = dataset.p
+    atom_grams = np.empty((starts.shape[0], p, p))
+    atom_crosses = np.empty((starts.shape[0], p))
+    for k, (a, b) in enumerate(zip(starts, cuts[1:])):
+        rows = slice(half[a], half[a] + (b - a))
+        Xa = dataset.X[rows]
+        atom_grams[k] = Xa.T @ Xa
+        atom_crosses[k] = Xa.T @ dataset.Y[rows]
+    stats = []
+    for bounds in edges:
+        first = np.searchsorted(starts, bounds[:-1])
+        sizes = np.diff(bounds).astype(np.float64)
+        stats.append((np.add.reduceat(atom_grams, first) / sizes[:, None, None],
+                      np.add.reduceat(atom_crosses, first) / sizes[:, None],
+                      sizes))
+    return stats
+
+
+def _random_stats(dataset: Dataset, half: np.ndarray, G: int, rng) -> tuple:
+    """Statistics of G random blocks of len(half) // G observations each,
+    gathered from the parent X."""
+    m = half.shape[0]
+    spec = sample_groups(m, G, m // G, replacement=False,
                          seed=int(rng.integers(0, 2**63 - 1)))
+    return _group_stats(dataset, [half[idx] for idx in spec.groups])
 
 
 def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
@@ -81,6 +123,14 @@ def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
     explained variance over the test blocks, averaged over splits.  Returns
     the candidate maximizing that score, breaking near-ties (within one
     standard error) toward the smallest G.
+
+    Time-ordered halves are arcs of the series read as a circle (each in
+    sorted order, see :func:`_halves`), cut into consecutive blocks;
+    unordered halves are cut into random blocks.  The data are validated
+    once.  Per split, every block's Gram matrix and cross-product are built
+    once, each candidate is fitted on its training blocks' statistics, and
+    each test block is scored as 2c'beta - beta'S beta from its own
+    statistics.
     """
     validate(dataset)
     candidates = tuple(int(g) for g in candidates)
@@ -109,17 +159,21 @@ def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
 
     def run_split(plan):
         train_idx, test_idx, block_seed = plan
-        block_rng = rng_from_seed(block_seed)
-        train = _subset(dataset, train_idx)
-        test = _subset(dataset, test_idx)
-        test_blocks = _blocks_for(test.n, g_test, dataset.time_ordered, block_rng)
+        if dataset.time_ordered:
+            test_grams, test_crosses, _ = _ordered_stats(dataset, test_idx,
+                                                         [g_test])[0]
+            train_stats = _ordered_stats(dataset, train_idx, candidates)
+        else:
+            block_rng = rng_from_seed(block_seed)
+            test_grams, test_crosses, _ = _random_stats(dataset, test_idx, g_test,
+                                                        block_rng)
+            train_stats = [_random_stats(dataset, train_idx, G, block_rng)
+                           for G in candidates]
+        dead_level = _dead_level(dataset.Y[train_idx])
         row = np.empty(len(candidates))
-        for k, G in enumerate(candidates):
-            train_blocks = _blocks_for(train.n, G, dataset.time_ordered, block_rng)
-            fit = fit_with_config(train, train_blocks, config)
-            coef = fit.coefficients
-            row[k] = min(emp_explained_variance(test, blk, coef)
-                         for blk in test_blocks.groups)
+        for k, stats in enumerate(train_stats):
+            fit = _fit_stats(*stats, config, dead_level)
+            row[k] = _group_variances(test_grams, test_crosses, fit.coefficients).min()
         return row
 
     if n_jobs > 1:
@@ -168,18 +222,17 @@ def select_penalty(dataset: Dataset, spec: GroupSpec, lambda_grid, seed: int = 0
         train_groups.append(np.setdiff1d(idx, held))
         hold_groups.append(np.sort(held))
 
-    # the training groups are nonempty subsets of validated groups, so their
-    # statistics are built once and shared by every penalty level
-    train_spec = GroupSpec(groups=tuple(train_groups), replacement=spec.replacement)
-    stats = _group_stats(dataset, train_spec)
-    dead_level = _dead_level(dataset)
+    # the training and hold-out groups are nonempty subsets of validated
+    # groups, so their statistics are built once and shared by every level
+    stats = _group_stats(dataset, train_groups)
+    hold_grams, hold_crosses, _ = _group_stats(dataset, hold_groups)
+    dead_level = _dead_level(dataset.Y)
     best_lam, best_score = grid[-1], -np.inf
     for lam in grid:
         cfg = PenaltyConfig(q=base.q, mode=MODE_PENALIZED, lam=lam,
                             zeta=base.zeta, max_iter=base.max_iter, tol=base.tol)
         fit = _fit_reweighted(*stats, cfg, dead_level)
-        score = min(emp_explained_variance(dataset, held, fit.beta)
-                    for held in hold_groups)
+        score = float(_group_variances(hold_grams, hold_crosses, fit.beta).min())
         if score >= best_score:
             best_lam, best_score = lam, score
     return best_lam

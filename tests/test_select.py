@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from maximin import (
     lambda_max,
     select_penalty,
 )
+from cvoracle import reference_cv_scores
 
 L2FREE = PenaltyConfig(q="l2", mode="penalized", lam=0.0)
 
@@ -121,6 +124,86 @@ class TestCvGroupCount:
             if 0.25 / delta <= block_len <= 4.0 / delta:
                 good += 1
         assert good / reps >= 0.70
+
+
+def shifted(rng, n=1200, p=3, ordered=False):
+    """Two regimes: the second half of the rows gains a coefficient."""
+    X = rng.standard_normal((n, p))
+    Y = X @ np.array([1.0, 0.5, -0.3])[:p] + 0.5 * rng.standard_normal(n)
+    Y[n // 2:] += X[n // 2:, 1]
+    return Dataset(X=X, Y=Y, time_ordered=ordered)
+
+
+class TestCvOnStatistics:
+    """cv_group_count builds block statistics once per split; the reference
+    in cvoracle.py refits and rescores from the rows."""
+
+    CONFIGS = {"maximal": PenaltyConfig(mode="maximal"), "l2": L2FREE}
+
+    @pytest.mark.parametrize("mode", ["maximal", "l2"])
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_scores_match_row_reference(self, ordered, mode):
+        config = self.CONFIGS[mode]
+        for seed in (3, 8):
+            ds = shifted(np.random.default_rng(seed), ordered=ordered)
+            res = cv_group_count(ds, [2, 3, 6], splits=6, g_test=3,
+                                 config=config, seed=seed, min_block=50)
+            chosen, scores, ses = reference_cv_scores(ds, (2, 3, 6), 6, 3,
+                                                      config, seed=seed)
+            np.testing.assert_allclose(res.scores, scores, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(res.std_errors, ses, rtol=0, atol=1e-10)
+            assert res.chosen == chosen
+
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_threads_give_identical_scores(self, ordered):
+        ds = shifted(np.random.default_rng(12), ordered=ordered)
+        kw = dict(splits=8, g_test=3, config=PenaltyConfig(mode="maximal"),
+                  seed=4, min_block=50)
+        one = cv_group_count(ds, [2, 3, 6], n_jobs=1, **kw)
+        two = cv_group_count(ds, [2, 3, 6], n_jobs=2, **kw)
+        assert one.chosen == two.chosen
+        np.testing.assert_array_equal(one.scores, two.scores)
+        np.testing.assert_array_equal(one.std_errors, two.std_errors)
+
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_validates_once(self, monkeypatch, ordered):
+        calls = []
+        for module in (select, estimator):
+            real = module.validate
+            monkeypatch.setattr(module, "validate",
+                                lambda *a, real=real: calls.append(1) or real(*a))
+        ds = shifted(np.random.default_rng(13), ordered=ordered)
+        cv_group_count(ds, [2, 3], splits=3, g_test=3, config=L2FREE,
+                       seed=0, min_block=50)
+        assert len(calls) == 1
+
+    def test_ordered_halves_are_two_runs_at_most(self):
+        # the per-atom statistics of ordered halves rely on this shape
+        rng = np.random.default_rng(14)
+        for n in (10, 11, 97, 400):
+            for _ in range(20):
+                train, test = select._halves(n, True, rng)
+                assert train.shape[0] == n // 2
+                np.testing.assert_array_equal(
+                    np.sort(np.concatenate([train, test])), np.arange(n))
+                for half in (train, test):
+                    assert np.count_nonzero(np.diff(half) != 1) <= 1
+
+    def test_ordered_memory_independent_of_n(self):
+        # n = 2e4, p = 200: a running sum of x x' along the series would
+        # need n p^2 doubles (6.4 GB); block statistics stay near the data
+        rng = np.random.default_rng(15)
+        n, p = 20_000, 200
+        X = rng.standard_normal((n, p))
+        ds = Dataset(X=X, Y=X[:, 0] + rng.standard_normal(n), time_ordered=True)
+        tracemalloc.start()
+        try:
+            cv_group_count(ds, [2, 5], splits=2, g_test=5,
+                           config=PenaltyConfig(mode="maximal"), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * ds.X.nbytes
 
 
 class TestSelectPenalty:
