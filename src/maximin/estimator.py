@@ -13,6 +13,10 @@ Two routes to an estimate:
   linear program over per-group cross-products only: the design matrix never
   enters, so storage is O(pG).  :func:`rescale` then restores a prediction
   scale exactly, from one parabola per group.
+
+The data enter only through per-group Gram matrices, cross-products and
+sizes, held in one :class:`GroupStats`: the one input of every consumer
+below the public functions, each of which validates and builds it once.
 """
 
 from __future__ import annotations
@@ -83,8 +87,35 @@ def update_weights(group_V, zeta: float, floor: float, group_sizes=None) -> Weig
     return WeightState(w=np.repeat(mass / sizes, sizes.astype(np.int64)))
 
 
-def _group_stats(dataset: Dataset, groups):
-    """Gram matrices, cross-products and sizes of the given index sets."""
+@dataclass(frozen=True, eq=False)
+class GroupStats:
+    """Per-group sufficient statistics of validated data.
+
+    ``grams`` (G, p, p) and ``crosses`` (G, p) are X_g'X_g / n_g and
+    X_g'Y_g / n_g, ``sizes`` (G,) the n_g.  ``dead_level`` is the explained
+    variance below which a fit counts as explaining nothing, set from the
+    response rows the groups were drawn from.  The arrays are not copied.
+    """
+
+    grams: np.ndarray
+    crosses: np.ndarray
+    sizes: np.ndarray
+    dead_level: float
+
+    def values(self, beta) -> np.ndarray:
+        """Empirical explained variance of beta in every group at once."""
+        return 2.0 * self.crosses @ beta - (self.grams @ beta) @ beta
+
+
+def _dead_level(Y) -> float:
+    """A fit is "dead" when even its best group explains nothing beyond
+    numerical dust relative to the scale of the response Y."""
+    return 1e-12 * max(1.0, float(Y @ Y) / Y.shape[0])
+
+
+def _group_stats(dataset: Dataset, groups, rows=None) -> GroupStats:
+    """Statistics of the given index sets, drawn from the response rows
+    ``rows`` (all of Y by default)."""
     G = len(groups)
     p = dataset.p
     grams = np.empty((G, p, p))
@@ -97,12 +128,14 @@ def _group_stats(dataset: Dataset, groups):
         grams[g] = Xg.T @ Xg / n_g
         crosses[g] = Xg.T @ Yg / n_g
         sizes[g] = n_g
-    return grams, crosses, sizes
+    Y = dataset.Y if rows is None else dataset.Y[rows]
+    return GroupStats(grams, crosses, sizes, _dead_level(Y))
 
 
-def _group_variances(grams, crosses, beta):
-    """Empirical explained variance of beta in every group at once."""
-    return 2.0 * crosses @ beta - (grams @ beta) @ beta
+def _validated_stats(dataset: Dataset, spec: GroupSpec) -> GroupStats:
+    """Validate the data and groups, then build their statistics."""
+    validate(dataset, spec)
+    return _group_stats(dataset, spec.groups)
 
 
 def _soft_threshold(z, t):
@@ -142,8 +175,8 @@ def _solve_weighted_l2(A, d, lam):
 
     The first-order condition gives b = (A + mu I)^{-1} d with the scalar mu
     tied to lam by  mu * ||b(mu)|| = lam / 2, a strictly increasing function
-    of mu, so a bracketed scalar root-find is exact.  lam = 0 degenerates to
-    the plain weighted least-squares solve.
+    of mu, so bisection on its sign finds mu to adjacent floats.  lam = 0
+    degenerates to the plain weighted least-squares solve.
     """
     p = d.shape[0]
     evals, evecs = np.linalg.eigh(A)
@@ -161,8 +194,6 @@ def _solve_weighted_l2(A, d, lam):
 
     if lam == 0.0:
         return evecs @ (d_tilde / evals)
-    from scipy.optimize import brentq  # slow to import; unused at lam = 0
-
     norm_d = np.linalg.norm(d_tilde)
     if 2.0 * norm_d <= lam:
         return np.zeros(p)
@@ -173,7 +204,7 @@ def _solve_weighted_l2(A, d, lam):
     hi = max(lam, float(evals[-1]), 1.0)
     while g(hi) < 0.0:
         hi *= 4.0
-    mu = brentq(g, 0.0, hi, xtol=1e-15, rtol=1e-14)
+    mu = _bisect(lambda mu: g(mu) < 0.0, 0.0, hi)
     return evecs @ (d_tilde / (evals + mu))
 
 
@@ -191,6 +222,19 @@ def _log_power_merit(group_V, sizes, zeta):
     if np.any(v <= 0.0):
         return float("nan")
     return float(np.log((sizes * np.power(v, zeta)).sum()) / zeta)
+
+
+def _bisect(holds, lo: float, hi: float) -> float:
+    """Bisect [lo, hi], keeping holds(lo) true and holds(hi) false, until
+    lo and hi are adjacent floats; returns the last midpoint (lo or hi)."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def _line_search_step(v0, slope, curv, sizes, zeta, floor) -> float:
@@ -211,20 +255,12 @@ def _line_search_step(v0, slope, curv, sizes, zeta, floor) -> float:
         return 0.0
     if rising(1.0):
         return 1.0
-    lo, hi = 0.0, 1.0
-    mid = 0.5
-    while lo < mid < hi:
-        if rising(mid):
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    return _bisect(rising, 0.0, 1.0)
 
 
-def _lambda_max(crosses, sizes, q: str) -> float:
+def _lambda_max(stats: GroupStats, q: str) -> float:
     """:func:`lambda_max` on group statistics."""
-    pooled = sizes @ crosses / sizes.sum()
+    pooled = stats.sizes @ stats.crosses / stats.sizes.sum()
     if q == L1:
         return 2.0 * float(np.abs(pooled).max())
     if q == L2:
@@ -238,17 +274,16 @@ def lambda_max(dataset: Dataset, spec: GroupSpec, q: str = L1) -> float:
     Twice the max-coordinate (l1) or the euclidean norm (l2) of the pooled
     cross-product; a valid bracket endpoint for penalty searches.
     """
-    validate(dataset, spec)
-    _, crosses, sizes = _group_stats(dataset, spec.groups)
-    return _lambda_max(crosses, sizes, q)
+    return _lambda_max(_validated_stats(dataset, spec), q)
 
 
 def _norm_q(beta, q):
     return float(np.abs(beta).sum()) if q == L1 else float(np.linalg.norm(beta))
 
 
-def _fit_at_lambda(grams, crosses, sizes, config: PenaltyConfig, lam: float) -> MaximinFit:
+def _fit_at_lambda(stats: GroupStats, config: PenaltyConfig, lam: float) -> MaximinFit:
     """The outer reweighting loop at one fixed penalty level."""
+    grams, crosses, sizes = stats.grams, stats.crosses, stats.sizes
     G, p = crosses.shape
     flat_grams = grams.reshape(G, p * p)
     mass = sizes / sizes.sum()          # uniform per-observation start
@@ -334,52 +369,44 @@ def fit_reweighted(dataset: Dataset, spec: GroupSpec,
     leaves every group's explained variance at or below zero: the worst-case
     signal is then indistinguishable from zero.
     """
-    validate(dataset, spec)
+    stats = _validated_stats(dataset, spec)
     if config.mode == MODE_MAXIMAL:
         raise ValidationError("maximal mode is computed by fit_maximal_penalty")
-    grams, crosses, sizes = _group_stats(dataset, spec.groups)
-    return _fit_reweighted(grams, crosses, sizes, config, _dead_level(dataset.Y))
+    return _fit_reweighted(stats, config)
 
 
-def _dead_level(Y) -> float:
-    """A fit is "dead" when even its best group explains nothing beyond
-    numerical dust relative to the scale of the response Y."""
-    return 1e-12 * max(1.0, float(Y @ Y) / Y.shape[0])
-
-
-def _fit_reweighted(grams, crosses, sizes, config: PenaltyConfig,
-                    dead_level: float) -> MaximinFit:
+def _fit_reweighted(stats: GroupStats, config: PenaltyConfig) -> MaximinFit:
     """:func:`fit_reweighted` on group statistics already built from
     validated data."""
     if config.mode == MODE_PENALIZED:
-        fit = _fit_at_lambda(grams, crosses, sizes, config, config.lam)
-        if config.lam == 0.0 and float(fit.group_V.max()) <= dead_level:
+        fit = _fit_at_lambda(stats, config, config.lam)
+        if config.lam == 0.0 and float(fit.group_V.max()) <= stats.dead_level:
             raise AllGroupsNonpositive(
                 "no coefficient vector positively explains any group")
         return fit
 
     # constrained mode
     kappa = float(config.kappa)
-    fit0 = _fit_at_lambda(grams, crosses, sizes, config, 0.0)
+    fit0 = _fit_at_lambda(stats, config, 0.0)
     if _norm_q(fit0.beta, config.q) <= kappa:
-        if float(fit0.group_V.max()) <= dead_level:
+        if float(fit0.group_V.max()) <= stats.dead_level:
             raise AllGroupsNonpositive(
                 "no coefficient vector positively explains any group")
         return fit0
 
-    hi = _lambda_max(crosses, sizes, config.q)
-    fit_hi = _fit_at_lambda(grams, crosses, sizes, config, hi)
+    hi = _lambda_max(stats, config.q)
+    fit_hi = _fit_at_lambda(stats, config, hi)
     guard = 0
     while _norm_q(fit_hi.beta, config.q) > kappa and guard < 60:
         hi *= 2.0
-        fit_hi = _fit_at_lambda(grams, crosses, sizes, config, hi)
+        fit_hi = _fit_at_lambda(stats, config, hi)
         guard += 1
 
     lo = 0.0
     best = fit_hi
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        fit_mid = _fit_at_lambda(grams, crosses, sizes, config, mid)
+        fit_mid = _fit_at_lambda(stats, config, mid)
         norm_mid = _norm_q(fit_mid.beta, config.q)
         if norm_mid > kappa:
             lo = mid
@@ -428,12 +455,10 @@ def rescale(beta, dataset: Dataset, spec: GroupSpec) -> float:
     beta = np.asarray(beta, dtype=np.float64)
     if not np.any(beta):
         raise ValidationError("rescale needs a nonzero direction")
-    validate(dataset, spec)
-    grams, crosses, _ = _group_stats(dataset, spec.groups)
-    return _rescale(beta, grams, crosses)
+    return _rescale(beta, _validated_stats(dataset, spec))
 
 
-def _rescale(beta, grams, crosses) -> float:
+def _rescale(beta, stats: GroupStats) -> float:
     """:func:`rescale` on group statistics already built from validated data.
 
     With a_g = beta'c_g and q_g = beta' Gram_g beta the objective is
@@ -445,8 +470,8 @@ def _rescale(beta, grams, crosses) -> float:
     crossing.  Every move goes to a strictly steeper line, so there are at
     most G of them.
     """
-    a = crosses @ beta
-    q = (grams @ beta) @ beta
+    a = stats.crosses @ beta
+    q = (stats.grams @ beta) @ beta
     if float(a.min()) <= 0.0:
         return 0.0
     k = int(np.lexsort((-q, a))[0])     # lowest at s = 0, steepest on ties
@@ -469,19 +494,16 @@ def _rescale(beta, grams, crosses) -> float:
 def fit_with_config(dataset: Dataset, spec: GroupSpec,
                     config: PenaltyConfig) -> MaximinFit:
     """Dispatch on the configured mode; maximal mode includes the rescale."""
-    validate(dataset, spec)
-    return _fit_stats(*_group_stats(dataset, spec.groups), config,
-                      _dead_level(dataset.Y))
+    return _fit_stats(_validated_stats(dataset, spec), config)
 
 
-def _fit_stats(grams, crosses, sizes, config: PenaltyConfig,
-               dead_level: float) -> MaximinFit:
+def _fit_stats(stats: GroupStats, config: PenaltyConfig) -> MaximinFit:
     """:func:`fit_with_config` on group statistics already built from
     validated data."""
     if config.mode != MODE_MAXIMAL:
-        return _fit_reweighted(grams, crosses, sizes, config, dead_level)
-    direction = fit_maximal_penalty(crosses, config)
-    s = _rescale(direction, grams, crosses)
-    group_V = _group_variances(grams, crosses, s * direction)
+        return _fit_reweighted(stats, config)
+    direction = fit_maximal_penalty(stats.crosses, config)
+    s = _rescale(direction, stats)
+    group_V = stats.values(s * direction)
     return MaximinFit(beta=direction, group_V=group_V, scale=s,
                       iterations=0, converged=True)

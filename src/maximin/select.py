@@ -19,14 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import (
-    _dead_level,
-    _fit_reweighted,
-    _fit_stats,
-    _group_stats,
-    _group_variances,
-)
-from .exceptions import TooFewObservations, ValidationError
+from .estimator import GroupStats, _dead_level, _fit_stats, _group_stats
+from .exceptions import InvalidSize, TooFewObservations, ValidationError
 from .grouping import _block_edges, rng_from_seed, sample_groups
 from .model import (
     MODE_PENALIZED,
@@ -70,7 +64,7 @@ def _halves(n: int, time_ordered: bool, rng) -> tuple[np.ndarray, np.ndarray]:
     return perm[:half], perm[half:]
 
 
-def _ordered_stats(dataset: Dataset, half: np.ndarray, counts) -> list[tuple]:
+def _ordered_stats(dataset: Dataset, half: np.ndarray, counts) -> list[GroupStats]:
     """Statistics of the consecutive blocks of one ordered half, for each
     block count.
 
@@ -92,23 +86,24 @@ def _ordered_stats(dataset: Dataset, half: np.ndarray, counts) -> list[tuple]:
         Xa = dataset.X[rows]
         atom_grams[k] = Xa.T @ Xa
         atom_crosses[k] = Xa.T @ dataset.Y[rows]
+    dead_level = _dead_level(dataset.Y[half])
     stats = []
     for bounds in edges:
         first = np.searchsorted(starts, bounds[:-1])
         sizes = np.diff(bounds).astype(np.float64)
-        stats.append((np.add.reduceat(atom_grams, first) / sizes[:, None, None],
-                      np.add.reduceat(atom_crosses, first) / sizes[:, None],
-                      sizes))
+        stats.append(GroupStats(np.add.reduceat(atom_grams, first) / sizes[:, None, None],
+                                np.add.reduceat(atom_crosses, first) / sizes[:, None],
+                                sizes, dead_level))
     return stats
 
 
-def _random_stats(dataset: Dataset, half: np.ndarray, G: int, rng) -> tuple:
+def _random_stats(dataset: Dataset, half: np.ndarray, G: int, rng) -> GroupStats:
     """Statistics of G random blocks of len(half) // G observations each,
     gathered from the parent X."""
     m = half.shape[0]
     spec = sample_groups(m, G, m // G, replacement=False,
                          seed=int(rng.integers(0, 2**63 - 1)))
-    return _group_stats(dataset, [half[idx] for idx in spec.groups])
+    return _group_stats(dataset, [half[idx] for idx in spec.groups], rows=half)
 
 
 def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
@@ -136,6 +131,9 @@ def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
     candidates = tuple(int(g) for g in candidates)
     if not candidates:
         raise ValidationError("candidates must be nonempty")
+    for G in candidates:
+        if G < 1:
+            raise InvalidSize(f"candidate G={G} must be at least 1")
     if splits < 1:
         raise ValidationError(f"splits must be a positive integer, got {splits}")
     if config is None:
@@ -160,20 +158,16 @@ def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
     def run_split(plan):
         train_idx, test_idx, block_seed = plan
         if dataset.time_ordered:
-            test_grams, test_crosses, _ = _ordered_stats(dataset, test_idx,
-                                                         [g_test])[0]
+            test = _ordered_stats(dataset, test_idx, [g_test])[0]
             train_stats = _ordered_stats(dataset, train_idx, candidates)
         else:
             block_rng = rng_from_seed(block_seed)
-            test_grams, test_crosses, _ = _random_stats(dataset, test_idx, g_test,
-                                                        block_rng)
+            test = _random_stats(dataset, test_idx, g_test, block_rng)
             train_stats = [_random_stats(dataset, train_idx, G, block_rng)
                            for G in candidates]
-        dead_level = _dead_level(dataset.Y[train_idx])
         row = np.empty(len(candidates))
         for k, stats in enumerate(train_stats):
-            fit = _fit_stats(*stats, config, dead_level)
-            row[k] = _group_variances(test_grams, test_crosses, fit.coefficients).min()
+            row[k] = test.values(_fit_stats(stats, config).coefficients).min()
         return row
 
     if n_jobs > 1:
@@ -225,14 +219,13 @@ def select_penalty(dataset: Dataset, spec: GroupSpec, lambda_grid, seed: int = 0
     # the training and hold-out groups are nonempty subsets of validated
     # groups, so their statistics are built once and shared by every level
     stats = _group_stats(dataset, train_groups)
-    hold_grams, hold_crosses, _ = _group_stats(dataset, hold_groups)
-    dead_level = _dead_level(dataset.Y)
+    hold = _group_stats(dataset, hold_groups)
     best_lam, best_score = grid[-1], -np.inf
     for lam in grid:
         cfg = PenaltyConfig(q=base.q, mode=MODE_PENALIZED, lam=lam,
                             zeta=base.zeta, max_iter=base.max_iter, tol=base.tol)
-        fit = _fit_reweighted(*stats, cfg, dead_level)
-        score = float(_group_variances(hold_grams, hold_crosses, fit.beta).min())
+        fit = _fit_stats(stats, cfg)
+        score = float(hold.values(fit.beta).min())
         if score >= best_score:
             best_lam, best_score = lam, score
     return best_lam

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import maximin
+from maximin import cli, estimator
 from maximin import (
     Dataset,
     GroupSpec,
@@ -461,7 +462,7 @@ class TestCliSurface:
 
     def test_import_loads_no_scipy(self):
         # scipy costs about a second per interpreter; only the bounded
-        # design and the l2 penalty root-find load it, when they run
+        # design loads it, when it runs
         code = ("import sys, maximin, maximin.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         env = dict(os.environ)
@@ -471,6 +472,58 @@ class TestCliSurface:
                            text=True, env=env)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "[]"
+
+    def test_l2_fits_load_no_scipy(self):
+        # an l2 fit at lam > 0 and a kappa-constrained l2 fit whose bound is
+        # active both solve for the l2 penalty root
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "from maximin import Dataset, PenaltyConfig, consecutive_blocks, fit_reweighted",
+            "rng = np.random.default_rng(0)",
+            "X = rng.standard_normal((400, 3))",
+            "Y = X @ np.array([1.0, 0.5, -0.3]) + 0.5 * rng.standard_normal(400)",
+            "ds, spec = Dataset(X=X, Y=Y), consecutive_blocks(400, 4)",
+            "free = fit_reweighted(ds, spec, PenaltyConfig(q='l2', lam=0.0))",
+            "pen = fit_reweighted(ds, spec, PenaltyConfig(q='l2', lam=0.3))",
+            "kappa = 0.5 * float(np.linalg.norm(free.beta))",
+            "bound = fit_reweighted(ds, spec, PenaltyConfig(q='l2', mode='constrained',"
+            " kappa=kappa))",
+            "assert np.any(pen.beta) and np.linalg.norm(pen.beta) < np.linalg.norm(free.beta)",
+            "assert abs(np.linalg.norm(bound.beta) - kappa) <= 0.01 * kappa",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
+
+    def test_fit_validates_once(self, tmp_path, monkeypatch):
+        calls = []
+        for module in (cli, estimator):
+            real = module.validate
+            monkeypatch.setattr(module, "validate",
+                                lambda *a, real=real: calls.append(1) or real(*a))
+        (tmp_path / "d.csv").write_text("y,x1\n1,2\n3,4\n5,7\n6,1\n")
+        code = cli_main(["fit", "--data", str(tmp_path / "d.csv"),
+                         "--groups", "blocks:2", "--penalty", "l2",
+                         "--out", str(tmp_path / "x.json")])
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_cv_groups_nonpositive_candidate_exits_2(self, tmp_path):
+        r = run_cli("simulate", "--scenario", "figure2", "--n", "2000",
+                    "--seed", "1", "--out", "data.csv", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run_cli("cv-groups", "--data", "data.csv", "--candidates", "0,2",
+                    "--splits", "2", "--g-test", "2", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error:"), r.stderr
+        assert "Traceback" not in r.stderr
+        assert "G=0" in r.stderr
 
     def test_exit_code_solver_error(self, tmp_path):
         # opposed single-predictor signals make the maximal-penalty program

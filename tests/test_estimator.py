@@ -19,6 +19,7 @@ from maximin import (
     lambda_max,
     maximin_effect,
     rescale,
+    sample_groups,
     update_weights,
 )
 from maximin import estimator
@@ -169,6 +170,42 @@ class TestPenalizedSolvers:
                                       PenaltyConfig(q=q, mode="penalized",
                                                     lam=0.95 * lam, tol=1e-10))
                 assert np.abs(fit2.beta).max() > 0.0
+
+
+    def test_l2_root_satisfies_mu_norm_condition(self):
+        # b = (A + mu I)^{-1} d with mu * ||b|| = lam / 2; mu is recovered
+        # from (A + mu I) b = d.  The rank-deficient A has no signal in its
+        # null space, so b lives in its range
+        rng = np.random.default_rng(21)
+        for rank_deficient in (False, True):
+            for _ in range(20):
+                p = int(rng.integers(2, 7))
+                Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+                evals = rng.uniform(0.5, 2.0, p)
+                if rank_deficient:
+                    evals[rng.integers(p)] = 0.0
+                A = (Q * evals) @ Q.T
+                d = Q @ (rng.standard_normal(p) * (evals > 0.0))
+                lam = float(rng.uniform(0.2, 1.5)) * np.linalg.norm(d)
+                b = estimator._solve_weighted_l2(A, d, lam)
+                mu = (d - A @ b) @ b / (b @ b)
+                assert mu * np.linalg.norm(b) == pytest.approx(0.5 * lam, rel=1e-12)
+
+
+class TestGroupStats:
+    def test_values_match_emp_explained_variance(self):
+        rng = np.random.default_rng(22)
+        n, p = 300, 4
+        X = rng.standard_normal((n, p))
+        ds = Dataset(X=X, Y=X @ rng.standard_normal(p) + rng.standard_normal(n))
+        for spec in (consecutive_blocks(n, 7),
+                     sample_groups(n, 5, 80, replacement=True, seed=3)):
+            stats = estimator._group_stats(ds, spec.groups)
+            for _ in range(5):
+                beta = rng.standard_normal(p)
+                ref = [emp_explained_variance(ds, idx, beta) for idx in spec.groups]
+                np.testing.assert_allclose(stats.values(beta), ref, rtol=1e-12,
+                                           atol=1e-12)
 
 
 class TestReweightedMultiGroup:
@@ -456,8 +493,9 @@ class TestExactRescale:
     a_g and q_g are the cross-products and Grams themselves."""
 
     def _walk(self, a, q):
-        return estimator._rescale(np.ones(1), np.asarray(q, float)[:, None, None],
-                                  np.asarray(a, float)[:, None])
+        return estimator._rescale(np.ones(1), estimator.GroupStats(
+            np.asarray(q, float)[:, None, None], np.asarray(a, float)[:, None],
+            np.ones(len(a)), 0.0))
 
     def test_kink_beats_clipped_vertex(self):
         # the steep group's vertex 0.03 lies left of where it takes over

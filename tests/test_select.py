@@ -10,6 +10,7 @@ from maximin import (
     PenaltyConfig,
     SupportSet,
     TooFewObservations,
+    InvalidSize,
     ValidationError,
     consecutive_blocks,
     cv_group_count,
@@ -18,6 +19,7 @@ from maximin import (
     lambda_max,
     select_penalty,
 )
+from maximin.grouping import _block_edges
 from cvoracle import reference_cv_scores
 
 L2FREE = PenaltyConfig(q="l2", mode="penalized", lam=0.0)
@@ -188,6 +190,33 @@ class TestCvOnStatistics:
                     np.sort(np.concatenate([train, test])), np.arange(n))
                 for half in (train, test):
                     assert np.count_nonzero(np.diff(half) != 1) <= 1
+
+    @pytest.mark.parametrize("ordered", [True, False])
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_nonpositive_candidate_rejected_before_any_split(
+            self, monkeypatch, ordered, bad):
+        def no_split(*a):
+            raise AssertionError("a split was drawn before the candidates were checked")
+        monkeypatch.setattr(select, "_halves", no_split)
+        ds = shifted(np.random.default_rng(16), ordered=ordered)
+        with pytest.raises(InvalidSize, match=f"G={bad}"):
+            cv_group_count(ds, [2, bad], splits=2, g_test=2, config=L2FREE,
+                           min_block=50)
+
+    @pytest.mark.parametrize("cut", [50, 300])
+    def test_ordered_stats_equal_group_stats(self, cut):
+        # cut = 50 gives one run [50, 250); cut = 300 wraps: [0, 100) + [300, 400)
+        ds = shifted(np.random.default_rng(17), n=400, ordered=True)
+        half = np.sort(np.roll(np.arange(400), -cut)[:200])
+        counts = [3, 7]
+        for G, stats in zip(counts, select._ordered_stats(ds, half, counts)):
+            bounds = _block_edges(200, G)
+            ref = estimator._group_stats(
+                ds, [half[a:b] for a, b in zip(bounds[:-1], bounds[1:])], rows=half)
+            np.testing.assert_allclose(stats.grams, ref.grams, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stats.crosses, ref.crosses, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(stats.sizes, ref.sizes)
+            assert stats.dead_level == ref.dead_level
 
     def test_ordered_memory_independent_of_n(self):
         # n = 2e4, p = 200: a running sum of x x' along the series would
