@@ -111,6 +111,8 @@ class SupportSet:
         d, p = self.points.shape
         if d < 1:
             raise ValidationError("support needs at least one point")
+        if p < 1:
+            raise ValidationError("support points need at least one coordinate")
         if self.sigma.shape != (p, p):
             raise ValidationError(
                 f"gram matrix shape {self.sigma.shape} does not match p={p}")

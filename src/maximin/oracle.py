@@ -10,13 +10,15 @@ Three reference quantities for a support {b_1..b_d} with Gram matrix S:
   the support, which minimizes the worst-case residual variance.
 
 Both hull problems reduce to quadratic programs over the simplex of hull
-weights and are solved by Frank-Wolfe with away steps: the linear
-minimization oracle over a simplex is a vertex scan, so every step is exact
-and the duality gap gives a rigorous stopping certificate.
+weights and are solved exactly by one primal active-set method: it prices
+every point with one operator application and solves a small KKT system on
+the points with positive weight, so it ends after finitely many steps, and
+the Frank-Wolfe duality gap of the final weights is its stopping certificate.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,9 @@ from .model import SupportSet
 
 DEFAULT_GAP_TOL = 1e-9
 DEFAULT_MAX_ITER = 200_000
+# singular values of the KKT matrix below this share of the largest are
+# taken as zero: the active points are then affinely dependent
+_RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,68 +62,97 @@ def pooled_effect(support: SupportSet, weights=None) -> np.ndarray:
     return support.points.T @ w
 
 
-def _fw_simplex_qp(P, sigma, linear, tol, max_iter):
+def _simplex_qp(P, sigma, linear, tol, max_iter):
     """Minimize w'(P S P')w + linear'w over the probability simplex.
 
-    The quadratic form is applied lazily through P and S, so the d x d
-    Hessian is never materialized (d may be large).  Away steps give linear
-    convergence; a step keeps a running product q = (P S P')w up to date so
-    each iteration costs one operator application.
+    A primal active-set method.  Each outer iteration prices every point
+    with one operator application (the d x d matrix P S P' is never
+    formed), stops once the Frank-Wolfe gap w'grad - min(grad) is within
+    ``tol`` and otherwise adds the cheapest point to the active set; then
+    ``_descend`` moves to the minimizer over the active set's affine hull,
+    dropping points whose weight reaches zero on the way.  A priced point
+    that is already active makes it solve the same set again from the
+    current weights, which refines them; an outer iteration that leaves the
+    set as it was and does not lower the gap raises ``NonConverged``
+    instead of repeating itself.
+
+    Returns ``(w, gap, iterations)``.
     """
-    d = P.shape[0]
-    sig_pts = P @ sigma          # d x p, reused by every operator call
-
-    def apply_q(v):
-        return sig_pts @ (P.T @ v)
-
-    w = np.zeros(d)
+    sig_pts = P @ sigma          # d x p, reused by every pricing
     start = int(np.argmin(np.einsum("ij,ij->i", P, sig_pts) + linear))
-    w[start] = 1.0
-    q = apply_q(w)
-
-    for it in range(max_iter):
-        grad = 2.0 * q + linear
+    active, wa = np.array([start]), np.ones(1)
+    same_set, last_gap = False, np.inf
+    for it in itertools.count():
+        grad = 2.0 * (sig_pts @ (P[active].T @ wa)) + linear
         s = int(np.argmin(grad))
-        fw_gap = float(w @ grad - grad[s])
-        if fw_gap <= tol:
-            return w, fw_gap, it
-        active = np.where(w > 0.0)[0]
-        a = int(active[np.argmax(grad[active])])
-        away_gap = float(grad[a] - w @ grad)
-
-        if fw_gap >= away_gap:
-            direction = -w.copy()
-            direction[s] += 1.0
-            gamma_max = 1.0
+        gap = float(wa @ grad[active] - grad[s])
+        if gap <= tol:
+            w = np.zeros(P.shape[0])
+            w[active] = wa
+            return w, gap, it
+        if it == max_iter:
+            raise NonConverged("simplex QP did not reach the gap tolerance",
+                               residual=gap)
+        if same_set and gap >= last_gap:
+            raise NonConverged("simplex QP stalled: solving the active set "
+                               "again does not lower the gap", residual=gap)
+        if s in active:
+            grown, w0 = active, wa
         else:
-            direction = w.copy()
-            direction[a] -= 1.0
-            wa = w[a]
-            gamma_max = wa / (1.0 - wa) if wa < 1.0 else np.inf
+            grown, w0 = np.append(active, s), np.append(wa, 0.0)
+        keep, wa = _descend(sig_pts[grown] @ P[grown].T, linear[grown], w0)
+        same_set = np.array_equal(np.sort(grown[keep]), np.sort(active))
+        active, last_gap = grown[keep], gap
 
-        q_dir = apply_q(direction)
-        curv = float(direction @ q_dir)
-        slope = float(grad @ direction)
-        if curv <= 1e-300:
-            gamma = gamma_max if slope < 0 else 0.0
+
+def _descend(Q, c, w):
+    """Descend from the simplex point ``w`` to a subset of its points on whose
+    affine hull w'Qw + c'w has a minimizer with positive weights.
+
+    The equality-constrained problem on the current subset is solved through
+    its bordered KKT matrix, factored by an SVD so that an affinely dependent
+    subset shows as a rank loss.  A positive solution is the answer.
+    Otherwise the iterate moves toward it, or, on a dependent subset, along
+    the null direction that does not raise the objective (there the objective
+    is linear, and unbounded below when ``c`` has a component along it),
+    until the first weight reaches zero; that point is dropped and the
+    smaller subset solved again.  Returns ``(indices kept, their weights)``.
+    """
+    idx = np.arange(w.size)
+    while idx.size > 1:
+        k = idx.size
+        q2 = 2.0 * Q[np.ix_(idx, idx)]
+        grad = q2 @ w + c[idx]
+        grad -= w @ grad      # the multiplier absorbs a constant shift
+        border = float(np.abs(q2).max())   # balances the two blocks
+        kkt = np.empty((k + 1, k + 1))
+        kkt[:k, :k] = q2
+        kkt[:k, k] = kkt[k, :k] = border
+        kkt[k, k] = 0.0
+        u, sv, vt = np.linalg.svd(kkt)
+        if sv[-1] > _RANK_RTOL * sv[0]:
+            # the step to the minimizer, solved from the gradient at w so
+            # that solving again from a rounded solution refines it
+            direction = (vt.T @ ((u.T @ np.append(-grad, 0.0)) / sv))[:k]
+            v = w + direction
+            if np.all(v > 0.0):
+                return idx, v / v.sum()
+            blocked = v <= 0.0
         else:
-            gamma = min(max(-slope / (2.0 * curv), 0.0), gamma_max)
-        if gamma <= 0.0:
-            return w, fw_gap, it
-        w = w + gamma * direction
-        q = q + gamma * q_dir
-        # numerical cleanup keeps the iterate on the simplex; refresh the
-        # running product now and then so rounding drift cannot accumulate
-        w[w < 1e-15] = 0.0
-        w /= w.sum()
-        if (it + 1) % 512 == 0:
-            q = apply_q(w)
-
-    grad = 2.0 * apply_q(w) + linear
-    gap = float(w @ grad - grad.min())
-    if gap > tol:
-        raise NonConverged("simplex QP did not reach the gap tolerance", residual=gap)
-    return w, gap, max_iter
+            direction = vt[-1, :k]
+            if direction @ grad > 0.0:
+                direction = -direction
+            blocked = direction < 0.0
+        # step to the first zero: t_i = w_i / -direction_i on the blocked
+        # points (a new point enters at weight 0, so t may be 0)
+        ratios = np.full(k, np.inf)
+        ratios[blocked] = w[blocked] / np.maximum(-direction[blocked], 1e-300)
+        j = int(np.argmin(ratios))
+        w = w + ratios[j] * direction
+        w[j] = 0.0
+        keep = w > 0.0
+        idx, w = idx[keep], w[keep] / w[keep].sum()
+    return idx, np.ones(1)
 
 
 def hull_projection(support: SupportSet, tol: float = DEFAULT_GAP_TOL,
@@ -133,7 +167,7 @@ def hull_projection(support: SupportSet, tol: float = DEFAULT_GAP_TOL,
     if w_zero is not None:
         return HullSolution(point=np.zeros(support.p), weights=w_zero,
                             gap=0.0, iterations=0)
-    w, gap, iters = _fw_simplex_qp(P, support.sigma, np.zeros(support.d), tol, max_iter)
+    w, gap, iters = _simplex_qp(P, support.sigma, np.zeros(support.d), tol, max_iter)
     return HullSolution(point=P.T @ w, weights=w, gap=gap, iterations=iters)
 
 
@@ -161,7 +195,7 @@ def pred_maximin_effect(support: SupportSet, tol: float = DEFAULT_GAP_TOL,
     P = support.points
     sig_pts = P @ support.sigma
     diag_q = np.einsum("ij,ij->i", P, sig_pts)
-    w, _, _ = _fw_simplex_qp(P, support.sigma, -diag_q, tol, max_iter)
+    w, _, _ = _simplex_qp(P, support.sigma, -diag_q, tol, max_iter)
     return P.T @ w
 
 

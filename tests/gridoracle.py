@@ -90,3 +90,38 @@ def random_support(rng, p=None, d=None, scale=1.25):
 def sigma_norm(v, sigma):
     v = np.asarray(v, dtype=np.float64)
     return float(np.sqrt(v @ sigma @ v))
+
+
+def enumerate_simplex_qp(points, sigma, linear):
+    """argmin of w'Qw + linear'w over the simplex, Q = P sigma P', by
+    enumeration; returns (w, value).
+
+    The minimum is attained at a vertex of the optimal face, whose support
+    has a nonsingular bordered KKT matrix, so solving that system on every
+    subset and keeping the best nonnegative solution finds it exactly.
+    Subsets with a singular system are skipped.
+    """
+    P = np.asarray(points, dtype=np.float64)
+    d = P.shape[0]
+    if d > 6:
+        raise ValueError("enumeration oracle supports d <= 6")
+    Q = P @ np.asarray(sigma, dtype=np.float64) @ P.T
+    c = np.asarray(linear, dtype=np.float64)
+    best_val, best_w = np.inf, None
+    for mask in range(1, 2 ** d):
+        sub = np.array([i for i in range(d) if mask >> i & 1])
+        k = sub.size
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = 2.0 * Q[np.ix_(sub, sub)]
+        kkt[:k, k] = kkt[k, :k] = 1.0
+        if np.linalg.cond(kkt) > 1e12:
+            continue
+        v = np.linalg.solve(kkt, np.append(-c[sub], 1.0))[:k]
+        if np.any(v < 0.0):
+            continue
+        w = np.zeros(d)
+        w[sub] = v
+        val = float(w @ Q @ w + c @ w)
+        if val < best_val:
+            best_val, best_w = val, w
+    return best_w, best_val

@@ -387,7 +387,7 @@ class TestCliSurface:
                     "pred-maximin", cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         np.testing.assert_allclose(json.loads(r.stdout)["beta"], [1.0, 1.0],
-                                   atol=1e-6)
+                                   atol=1e-9)
         # an explicit Gram matrix file overrides the one in the support:
         # under [[1, .5], [.5, 1]] the segment objective 1 + t + t^2 has its
         # minimum at t = -1/2
@@ -524,6 +524,15 @@ class TestCliSurface:
         assert r.stderr.startswith("error:"), r.stderr
         assert "Traceback" not in r.stderr
         assert "G=0" in r.stderr
+
+    @pytest.mark.parametrize("points", ["[[]]", "[]"])
+    def test_oracle_support_without_coordinates_exits_2(self, tmp_path, points):
+        (tmp_path / "s.json").write_text('{"points": %s}' % points)
+        r = run_cli("oracle", "--support", "s.json", "--which", "pooled",
+                    cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error:"), r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_exit_code_solver_error(self, tmp_path):
         # opposed single-predictor signals make the maximal-penalty program

@@ -113,6 +113,11 @@ class TestSupportSet:
         with pytest.raises(ValidationError):
             SupportSet(points=[[1.0, 0.0]], sigma=np.eye(3))
 
+    @pytest.mark.parametrize("points", [np.zeros((3, 0)), [[]], []])
+    def test_no_coordinates_rejected(self, points):
+        with pytest.raises(ValidationError, match="at least one coordinate"):
+            SupportSet(points=points, sigma=np.zeros((0, 0)))
+
     def test_valid(self):
         s = SupportSet(points=[[1.0, 2.0], [0.0, 1.0]], sigma=np.eye(2))
         assert s.d == 2 and s.p == 2

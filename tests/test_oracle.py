@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maximin import (
     SupportSet,
@@ -11,7 +13,15 @@ from maximin import (
     pop_explained_variance,
     pred_maximin_effect,
 )
-from gridoracle import grid_hull_min, grid_pred_maximin, random_support, sigma_norm
+from maximin import oracle
+from maximin.grouping import rng_from_seed
+from gridoracle import (
+    enumerate_simplex_qp,
+    grid_hull_min,
+    grid_pred_maximin,
+    random_support,
+    sigma_norm,
+)
 
 I2 = np.eye(2)
 TWO_POINT = SupportSet(points=[[1.0, -4.0], [1.0, 6.0]], sigma=I2)
@@ -176,3 +186,115 @@ class TestConservativeCheck:
         assert not ok
         assert value == pytest.approx(-5.0)
         np.testing.assert_allclose(worst, [1.0, -4.0])
+
+
+def _degenerate_support(rng):
+    """Up to six points in R^1..R^4: plain, with duplicated rows, with points
+    on lines through earlier ones, or on a half-integer lattice, so that
+    active sets become affinely dependent."""
+    d, p = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+    kind = int(rng.integers(0, 4))
+    if kind == 3:
+        points = rng.integers(-2, 3, size=(d, p)) / 2.0
+    else:
+        points = 1.25 * rng.uniform(-1.0, 1.0, size=(d, p))
+    for i in range(1, d):
+        if kind == 1 and rng.random() < 0.4:
+            points[i] = points[rng.integers(0, i)]
+        elif kind == 2 and i >= 2 and rng.random() < 0.5:
+            a, b = rng.choice(i, 2, replace=False)
+            points[i] = points[a] + rng.choice([-1.0, 0.5, 2.0]) * (points[b] - points[a])
+    A = rng.standard_normal((p, p))
+    return points, A @ A.T / p + 0.3 * np.eye(p)
+
+
+def _both_linear_terms(points, sigma):
+    """The hull QP (no linear term) and the enclosing-ball QP (-diag Q)."""
+    return np.zeros(len(points)), -np.einsum("ij,jk,ik->i", points, sigma, points)
+
+
+class TestSimplexQp:
+    def test_matches_enumeration(self, monkeypatch):
+        # spy on the KKT factorizations to see the rank-deficient
+        # (affinely dependent) branch run on this family
+        svd, dependent = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            sv = svd(a, compute_uv=False)
+            dependent.append(sv[-1] <= oracle._RANK_RTOL * sv[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        rng = np.random.default_rng(11)
+        for _ in range(600):
+            points, sigma = _degenerate_support(rng)
+            Q = points @ sigma @ points.T
+            for linear in _both_linear_terms(points, sigma):
+                w, gap, _ = oracle._simplex_qp(points, sigma, linear, 1e-12,
+                                               oracle.DEFAULT_MAX_ITER)
+                _, best = enumerate_simplex_qp(points, sigma, linear)
+                assert gap <= 1e-12
+                assert w @ Q @ w + linear @ w == pytest.approx(best, abs=1e-12)
+        assert sum(dependent) >= 50
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), enclosing_ball=st.booleans())
+    def test_kkt_certificate(self, seed, enclosing_ball):
+        points, sigma = _degenerate_support(np.random.default_rng(seed))
+        linear = _both_linear_terms(points, sigma)[int(enclosing_ball)]
+        w, _, _ = oracle._simplex_qp(points, sigma, linear, oracle.DEFAULT_GAP_TOL,
+                                     oracle.DEFAULT_MAX_ITER)
+        grad = 2.0 * points @ sigma @ (points.T @ w) + linear
+        mean = float(w @ grad)
+        assert np.all(w >= 0.0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(grad >= mean - 1e-9)
+        assert np.all(np.abs(grad[w > 0.0] - mean) <= 1e-9)
+
+    def test_enclosing_ball_with_dependent_active_set(self):
+        # 1, 3, then 0 enter in turn; the third point makes three collinear
+        # active points, whose KKT system is inconsistent, and the null-space
+        # step drops the point 1 in the middle
+        points, sigma = np.array([[1.0], [0.0], [3.0]]), np.eye(1)
+        w, gap, _ = oracle._simplex_qp(points, sigma, -points[:, 0] ** 2, 1e-12,
+                                       oracle.DEFAULT_MAX_ITER)
+        np.testing.assert_allclose(w, [0.0, 0.5, 0.5], atol=1e-15)
+        assert gap <= 1e-12
+
+
+# the wide_solvers support in generation order: 2000 Philox(1407) normals in
+# R^20 with 3 added to the first coordinate
+_WIDE = np.random.Generator(np.random.Philox(1407)).standard_normal((2000, 20))
+_WIDE[:, 0] += 3.0
+# its hull point from the Frank-Wolfe solver this package used before, at
+# gap 9.6e-10 after 3038 iterations
+_WIDE_FW_POINT = [
+    0.2812656419, 0.0293848694, 0.0229745879, -0.0218273955, -0.0057398961,
+    0.0038531495, 0.0089577955, 0.0176695427, 0.0126664947, 0.0441560413,
+    0.0406813049, 0.0280037920, 0.0626958209, 0.0020007774, 0.0230800947,
+    0.0015280236, -0.0244146558, 0.0592824449, -0.0049258876, 0.0580417131]
+
+
+class TestWideSupportCertificates:
+    def test_hull_projection(self):
+        sol = hull_projection(SupportSet(points=_WIDE, sigma=np.eye(20)), tol=1e-12)
+        assert sol.gap <= 1e-12
+        assert sol.iterations <= 40   # 24 measured
+        np.testing.assert_allclose(sol.point, _WIDE_FW_POINT, atol=1e-6)
+
+    def test_enclosing_ball(self):
+        _, gap, iterations = oracle._simplex_qp(
+            _WIDE, np.eye(20), -np.einsum("ij,ij->i", _WIDE, _WIDE), 1e-12,
+            oracle.DEFAULT_MAX_ITER)
+        assert gap <= 1e-12
+        assert iterations <= 30       # 15 measured
+
+    def test_zero_in_hull_without_the_lp(self):
+        # the support of the zero-in-hull instance on which the LP's phase 1
+        # hits its pivot cap: the QP alone reaches the origin exactly
+        points = rng_from_seed(1).standard_normal((20_000, 50))
+        points[:, 0] += 3.0
+        w, gap, _ = oracle._simplex_qp(points, np.eye(50), np.zeros(20_000),
+                                       oracle.DEFAULT_GAP_TOL, oracle.DEFAULT_MAX_ITER)
+        assert gap <= 1e-9
+        assert float(np.sum((points.T @ w) ** 2)) <= 1e-20
