@@ -105,13 +105,14 @@ def _parse_groups(spec_text: str, dataset: Dataset, labels_spec, seed: int) -> G
         return consecutive_blocks(dataset.n, G)
     if kind == "random":
         parts = rest.split(",")
-        if len(parts) < 2:
-            raise ValidationError("--groups random:<G>,<m>[,replacement]")
+        usage = f"--groups random:<G>,<m>[,replacement], got {spec_text!r}"
+        if len(parts) < 2 or parts[2:] not in ([], ["replacement"]):
+            raise ValidationError(usage)
         try:
             G, m = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ValidationError("--groups random:<G>,<m>[,replacement]") from None
-        replacement = len(parts) > 2 and parts[2] == "replacement"
+            raise ValidationError(usage) from None
+        replacement = len(parts) == 3
         return sample_groups(dataset.n, G, m, replacement=replacement, seed=seed)
     raise ValidationError(f"unknown group spec {spec_text!r}")
 

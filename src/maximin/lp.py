@@ -21,6 +21,8 @@ import numpy as np
 from .exceptions import Infeasible, NonConverged, SolverError
 
 _STALL_LIMIT = 40
+# pricing, ratio-test and progress tolerance
+_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, work: np.ndarray,
     basis[row] = col
 
 
-def _run_phase(A, rowscale, cost, T, basis, d, work, alpha, tol, max_iter):
+def _run_phase(A, rowscale, cost, T, basis, d, work, alpha, max_iter):
     """Pivot until optimal; returns the iteration count.
 
     ``cost`` is None in phase 1, whose objective is the sum of the
@@ -71,29 +73,29 @@ def _run_phase(A, rowscale, cost, T, basis, d, work, alpha, tol, max_iter):
         else:
             priced += cost
         j = int(d.argmin())
-        if not d[j] < -tol:
+        if not d[j] < -_TOL:
             return iters
         if bland:
-            j = int(np.less(d, -tol, out=below).argmax())
+            j = int(np.less(d, -_TOL, out=below).argmax())
         if j < n:
             np.matmul(inverse, A[:, j], out=column)
         else:
             np.multiply(inverse[:, j - n], rowscale[j - n], out=column)
         alpha[-1] = d[j]
-        positive = column > tol
+        positive = column > _TOL
         if not positive.any():
             raise SolverError("linear program is unbounded")
         ratios.fill(np.inf)
         np.divide(x_basic, column, out=ratios, where=positive)
         best = ratios.min()
-        ties = np.where(ratios <= best + tol * (1.0 + abs(best)))[0]
+        ties = np.where(ratios <= best + _TOL * (1.0 + abs(best)))[0]
         row = int(ties[basis[ties].argmin()])
         _pivot(T, basis, work, row, j, alpha)
         iters += 1
         if iters >= max_iter:
             raise NonConverged("simplex iteration limit reached",
                                residual=float(-T[-1, -1]))
-        if T[-1, -1] > last + tol * (1.0 + abs(last)):
+        if T[-1, -1] > last + _TOL * (1.0 + abs(last)):
             last = T[-1, -1]
             stalled = 0
         else:
@@ -103,7 +105,7 @@ def _run_phase(A, rowscale, cost, T, basis, d, work, alpha, tol, max_iter):
                 below = np.empty(d.shape, dtype=bool)
 
 
-def simplex_solve(c, A, b, *, tol: float = 1e-9, max_iter: int | None = None) -> LpResult:
+def simplex_solve(c, A, b, *, max_iter: int | None = None) -> LpResult:
     """Two-phase simplex on the standard form min c'x, Ax = b, x >= 0.
 
     ``max_iter`` (default 200 + 100(m+1)) caps the pivots of the whole
@@ -143,7 +145,7 @@ def simplex_solve(c, A, b, *, tol: float = 1e-9, max_iter: int | None = None) ->
     alpha = np.empty(m + 1)
 
     # phase 1: minimize the artificial sum
-    iters = _run_phase(A, rowscale, None, T, basis, d, work, alpha, tol, max_iter)
+    iters = _run_phase(A, rowscale, None, T, basis, d, work, alpha, max_iter)
     infeas = float(-T[-1, -1])
     if infeas > 1e-7:
         raise Infeasible(f"no feasible point (phase-1 residual {infeas:.3e})")
@@ -168,7 +170,7 @@ def simplex_solve(c, A, b, *, tol: float = 1e-9, max_iter: int | None = None) ->
     c_basic[keep] = c[basis[keep]]
     T[-1] = -(c_basic @ T[:m])
     # max_iter caps the whole solve: phase 2 gets what phase 1 left
-    iters += _run_phase(A, rowscale, c, T, basis, d, work, alpha, tol,
+    iters += _run_phase(A, rowscale, c, T, basis, d, work, alpha,
                         max_iter - iters)
 
     x = np.zeros(n)
@@ -177,27 +179,3 @@ def simplex_solve(c, A, b, *, tol: float = 1e-9, max_iter: int | None = None) ->
     # tiny negative entries are pivot-tolerance dust
     np.clip(x, 0.0, None, out=x)
     return LpResult(x=x, objective=float(c @ x), iterations=iters)
-
-
-def origin_hull_weights(points: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:
-    """Simplex weights writing 0 as a convex combination of the points, or
-    None when 0 lies outside their convex hull.
-
-    Runs phase 1 on  P'w = 0, sum(w) = 1, w >= 0  (d variables, p+1 rows).
-    """
-    P = np.asarray(points, dtype=np.float64)
-    d, p = P.shape
-    A = np.vstack([P.T, np.ones((1, d))])
-    b = np.zeros(p + 1)
-    b[-1] = 1.0
-    try:
-        res = simplex_solve(np.zeros(d), A, b, tol=tol)
-    except Infeasible:
-        return None
-    w = res.x
-    return w / w.sum()
-
-
-def origin_in_hull(points: np.ndarray, tol: float = 1e-9) -> bool:
-    """Feasibility check: does 0 lie in the convex hull of the given points?"""
-    return origin_hull_weights(points, tol=tol) is not None

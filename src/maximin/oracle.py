@@ -12,8 +12,11 @@ Three reference quantities for a support {b_1..b_d} with Gram matrix S:
 Both hull problems reduce to quadratic programs over the simplex of hull
 weights and are solved exactly by one primal active-set method: it prices
 every point with one operator application and solves a small KKT system on
-the points with positive weight, so it ends after finitely many steps, and
-the Frank-Wolfe duality gap of the final weights is its stopping certificate.
+the points with positive weight, so it ends after finitely many steps.  Its
+certificate is the Frank-Wolfe duality gap, at most max(tol, k eps max_j
+||b_j||^2_S), the rounding level of the gradient where that exceeds tol.  The
+hull QP also decides whether the origin lies in the hull, which makes the
+maximin effect zero.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidWeights, NonConverged
-from .lp import origin_hull_weights
 from .model import SupportSet
 
 DEFAULT_GAP_TOL = 1e-9
 DEFAULT_MAX_ITER = 200_000
+_GAP_FLOOR_ULPS = 16     # k in the gap floor k eps max_j b_j'S b_j
 # singular values of the KKT matrix below this share of the largest are
 # taken as zero: the active points are then affinely dependent
 _RANK_RTOL = 1e-12
@@ -36,7 +39,8 @@ _RANK_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class HullSolution:
-    """A point of the convex hull together with its simplex weights."""
+    """A point of the convex hull with the hull QP's weights, gap and
+    iterations; the point is exactly zero when the origin lies in the hull."""
 
     point: np.ndarray
     weights: np.ndarray
@@ -68,18 +72,21 @@ def _simplex_qp(P, sigma, linear, tol, max_iter):
     A primal active-set method.  Each outer iteration prices every point
     with one operator application (the d x d matrix P S P' is never
     formed), stops once the Frank-Wolfe gap w'grad - min(grad) is within
-    ``tol`` and otherwise adds the cheapest point to the active set; then
-    ``_descend`` moves to the minimizer over the active set's affine hull,
-    dropping points whose weight reaches zero on the way.  A priced point
-    that is already active makes it solve the same set again from the
-    current weights, which refines them; an outer iteration that leaves the
-    set as it was and does not lower the gap raises ``NonConverged``
-    instead of repeating itself.
+    max(tol, k eps max_j Q_jj), the gradient's rounding level at
+    k = ``_GAP_FLOOR_ULPS``, and otherwise adds the cheapest point to the
+    active set; then ``_descend`` moves to the minimizer over the active
+    set's affine hull, dropping points whose weight reaches zero on the way.
+    A priced point that is already active makes it solve the same set again
+    from the current weights, which refines them; an outer iteration that
+    leaves the set as it was and does not lower the gap raises
+    ``NonConverged`` instead of repeating itself.
 
-    Returns ``(w, gap, iterations)``.
+    Returns ``(w, gap, iterations)``; ``gap`` is the true gap of ``w``.
     """
     sig_pts = P @ sigma          # d x p, reused by every pricing
-    start = int(np.argmin(np.einsum("ij,ij->i", P, sig_pts) + linear))
+    diag_q = np.einsum("ij,ij->i", P, sig_pts)
+    tol = max(tol, _GAP_FLOOR_ULPS * np.finfo(np.float64).eps * float(diag_q.max()))
+    start = int(np.argmin(diag_q + linear))
     active, wa = np.array([start]), np.ones(1)
     same_set, last_gap = False, np.inf
     for it in itertools.count():
@@ -159,16 +166,17 @@ def hull_projection(support: SupportSet, tol: float = DEFAULT_GAP_TOL,
                     max_iter: int = DEFAULT_MAX_ITER) -> HullSolution:
     """S-metric projection of the origin onto the convex hull of the support.
 
-    When the origin lies inside the hull (decided by an exact feasibility
-    LP), the projection is the zero vector and is returned as such.
+    One hull QP decides both cases: if its hull point g does not strictly
+    separate, min_j b_j'S g <= 0, the origin is in the hull (a convex
+    combination equal to zero makes that minimum nonpositive for every g)
+    and the zero vector is returned with the QP's weights, gap and iterations.
     """
     P = support.points
-    w_zero = origin_hull_weights(P)
-    if w_zero is not None:
-        return HullSolution(point=np.zeros(support.p), weights=w_zero,
-                            gap=0.0, iterations=0)
     w, gap, iters = _simplex_qp(P, support.sigma, np.zeros(support.d), tol, max_iter)
-    return HullSolution(point=P.T @ w, weights=w, gap=gap, iterations=iters)
+    point = P.T @ w
+    if float((P @ (support.sigma @ point)).min()) <= 0.0:
+        point = np.zeros(support.p)
+    return HullSolution(point=point, weights=w, gap=gap, iterations=iters)
 
 
 def maximin_effect(support: SupportSet, tol: float = DEFAULT_GAP_TOL,
@@ -177,7 +185,8 @@ def maximin_effect(support: SupportSet, tol: float = DEFAULT_GAP_TOL,
 
     Geometrically the minimum-S-norm point of the convex hull of the
     support.  The returned point g satisfies the first-order condition
-    2 g'S(b_j - g) >= -tol for every support point b_j.
+    2 g'S(b_j - g) >= -max(tol, k eps max_j b_j'S b_j) for every support
+    point b_j, and is exactly zero when the origin lies in the hull.
     """
     return hull_projection(support, tol=tol, max_iter=max_iter).point
 

@@ -2,7 +2,8 @@
 
 These deliberately share no code with the package solvers: hull minima come
 from exhaustive evaluation over a simplex grid of hull weights, streamed in
-chunks so even fine grids stay within memory.
+chunks so even fine grids stay within memory, and hull membership from a
+HiGHS feasibility program.
 """
 
 import numpy as np
@@ -125,3 +126,19 @@ def enumerate_simplex_qp(points, sigma, linear):
         if val < best_val:
             best_val, best_w = val, w
     return best_w, best_val
+
+
+def origin_in_hull(points):
+    """Does 0 lie in the convex hull of the points?  HiGHS feasibility of
+    P'w = 0, sum(w) = 1, w >= 0."""
+    from scipy.optimize import linprog
+
+    P = np.asarray(points, dtype=np.float64)
+    d, p = P.shape
+    A = np.vstack([P.T, np.ones((1, d))])
+    b = np.zeros(p + 1)
+    b[-1] = 1.0
+    res = linprog(np.zeros(d), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    if res.status not in (0, 2):
+        raise RuntimeError(f"HiGHS feasibility check failed: {res.message}")
+    return res.status == 0

@@ -38,8 +38,7 @@ from maximin import (
     sample_groups,
     update_weights,
 )
-from maximin.lp import origin_in_hull
-from gridoracle import grid_hull_min, random_support, sigma_norm
+from gridoracle import grid_hull_min, origin_in_hull, random_support, sigma_norm
 
 L1MAX = PenaltyConfig(q="l1", mode="maximal")
 L2FREE = PenaltyConfig(q="l2", mode="penalized", lam=0.0)

@@ -20,6 +20,8 @@ from maximin import (
     RaggedRows,
     SeriesReport,
     consecutive_blocks,
+    gen_figure2,
+    sample_groups,
 )
 from maximin.cli import main as cli_main
 from maximin.io import (
@@ -397,6 +399,47 @@ class TestCliSurface:
         assert r.returncode == 0, r.stderr
         beta = np.array(json.loads(r.stdout)["beta"])
         np.testing.assert_allclose(beta, [1.0, -0.5], atol=1e-7)
+
+    def test_oracle_pred_maximin_at_large_scale(self, tmp_path):
+        # gradient rounding at this scale is above an absolute 1e-9 gap
+        rng = np.random.default_rng(0)
+        points = 1e3 * (rng.standard_normal((30, 3)) + [3.0, 0.0, 0.0])
+        (tmp_path / "support.json").write_text(json.dumps(
+            {"points": points.tolist(), "sigma": np.eye(3).tolist()}))
+        r = run_cli("oracle", "--support", "support.json", "--which",
+                    "pred-maximin", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert np.all(np.isfinite(json.loads(r.stdout)["beta"]))
+
+    @pytest.mark.parametrize("spec,replacement", [
+        ("random:4,50", False), ("random:4,50,replacement", True),
+    ])
+    def test_random_groups_spec_accepted(self, tmp_path, spec, replacement):
+        data = tmp_path / "d.csv"
+        write_csv_dataset(gen_figure2(300, seed=1).dataset, data)
+        code = cli_main(["fit", "--data", str(data), "--groups", spec,
+                         "--seed", "5", "--out", str(tmp_path / "x.json")])
+        assert code == 0
+        _, groups = read_fit(tmp_path / "x.json")
+        expected = sample_groups(300, 4, 50, replacement=replacement, seed=5)
+        assert groups.replacement == expected.replacement
+        for got, want in zip(groups.groups, expected.groups, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", [
+        "random:4,50,replace", "random:4,50,replacement,junk", "random:4,50,",
+        "random:4", "random:4,x",
+    ])
+    def test_random_groups_spec_rejected(self, tmp_path, capsys, spec):
+        data = tmp_path / "d.csv"
+        write_csv_dataset(gen_figure2(300, seed=1).dataset, data)
+        code = cli_main(["fit", "--data", str(data), "--groups", spec,
+                         "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --groups random:<G>,<m>[,replacement]"), err
+        assert repr(spec) in err
+        assert not (tmp_path / "x.json").exists()
 
     def test_cv_groups_command(self, tmp_path):
         r = run_cli("simulate", "--scenario", "jump", "--n", "1200", "--p", "2",

@@ -4,7 +4,7 @@ from scipy.optimize import linprog
 
 from maximin import Infeasible, NonConverged, SolverError
 from maximin import lp
-from maximin.lp import origin_hull_weights, origin_in_hull, simplex_solve
+from maximin.lp import simplex_solve
 
 
 def test_known_solution():
@@ -171,48 +171,3 @@ def test_bland_rule_against_scipy(monkeypatch):
         res = simplex_solve(c, A, b)
         assert res.objective == pytest.approx(ref.fun, abs=1e-7)
         np.testing.assert_allclose(A @ res.x, b, atol=1e-8)
-
-
-class TestOriginInHull:
-    def test_segment_through_origin(self):
-        assert origin_in_hull(np.array([[1.0], [-1.0]]))
-
-    def test_segment_missing_origin(self):
-        assert not origin_in_hull(np.array([[1.0], [2.0]]))
-
-    def test_triangle_containing_origin(self):
-        pts = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
-        assert origin_in_hull(pts)
-
-    def test_shifted_triangle(self):
-        pts = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]]) + 5.0
-        assert not origin_in_hull(pts)
-
-    def test_origin_on_boundary(self):
-        pts = np.array([[0.0, 1.0], [0.0, -1.0], [3.0, 0.0]])
-        assert origin_in_hull(pts)
-
-    def test_random_cases_against_scipy(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            d = int(rng.integers(1, 6))
-            p = int(rng.integers(1, 4))
-            pts = rng.uniform(-1.0, 1.0, size=(d, p)) + rng.uniform(-0.5, 0.5, size=p)
-            A = np.vstack([pts.T, np.ones((1, d))])
-            b = np.zeros(p + 1)
-            b[-1] = 1.0
-            ref = linprog(np.zeros(d), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-            assert origin_in_hull(pts) == (ref.status == 0)
-
-    def test_weights_certify_membership(self):
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            d = int(rng.integers(2, 12))
-            p = int(rng.integers(1, 5))
-            pts = rng.standard_normal((d, p)) * rng.uniform(0.1, 10.0)
-            pts -= rng.dirichlet(np.ones(d)) @ pts   # put 0 inside the hull
-            w = origin_hull_weights(pts)
-            assert w is not None
-            assert np.all(w >= 0.0)
-            assert w.sum() == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_allclose(pts.T @ w, 0.0, atol=1e-9 * np.abs(pts).max())

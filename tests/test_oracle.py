@@ -19,6 +19,7 @@ from gridoracle import (
     enumerate_simplex_qp,
     grid_hull_min,
     grid_pred_maximin,
+    origin_in_hull,
     random_support,
     sigma_norm,
 )
@@ -88,7 +89,6 @@ class TestMaximinEffect:
         for _ in range(300):
             s = random_support(rng, p=2, d=4, scale=1.0)
             g = maximin_effect(s)
-            from maximin.lp import origin_in_hull
             if origin_in_hull(s.points):
                 assert np.all(g == 0.0)
                 zeros_seen += 1
@@ -137,6 +137,88 @@ def test_non_convergence_raises_with_residual():
         maximin_effect(s, max_iter=1)
     assert e.value.residual is not None and e.value.residual > 0.0
     np.testing.assert_allclose(maximin_effect(s), [0.0, 0.0, 1.0], atol=1e-8)
+
+
+def _zero_exactly_when_inside(points, sigma=None):
+    """hull_projection returns the zero point exactly when HiGHS finds the
+    origin in the hull, and then its weights write the origin as a convex
+    combination; returns HiGHS's answer."""
+    points = np.asarray(points, dtype=np.float64)
+    if sigma is None:
+        sigma = np.eye(points.shape[1])
+    sol = hull_projection(SupportSet(points=points, sigma=sigma))
+    inside = origin_in_hull(points)
+    assert (not np.any(sol.point)) == inside
+    if inside:
+        w = sol.weights
+        assert np.all(w >= 0.0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(points.T @ w, 0.0, atol=1e-9 * np.abs(points).max())
+    return inside
+
+
+class TestOriginInHull:
+    def test_segment_through_origin(self):
+        assert _zero_exactly_when_inside([[1.0], [-1.0]])
+
+    def test_segment_missing_origin(self):
+        assert not _zero_exactly_when_inside([[1.0], [2.0]])
+
+    def test_triangle_containing_origin(self):
+        pts = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
+        assert _zero_exactly_when_inside(pts)
+
+    def test_shifted_triangle(self):
+        pts = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]]) + 5.0
+        assert not _zero_exactly_when_inside(pts)
+
+    def test_origin_on_boundary(self):
+        pts = np.array([[0.0, 1.0], [0.0, -1.0], [3.0, 0.0]])
+        assert _zero_exactly_when_inside(pts)
+
+    def test_random_cases_against_scipy(self):
+        rng = np.random.default_rng(9)
+        inside = 0
+        for _ in range(100):
+            d = int(rng.integers(1, 6))
+            p = int(rng.integers(1, 4))
+            pts = rng.uniform(-1.0, 1.0, size=(d, p)) + rng.uniform(-0.5, 0.5, size=p)
+            inside += _zero_exactly_when_inside(pts)
+        assert 10 <= inside <= 90   # both answers occur in this family
+
+    def test_weights_certify_membership(self):
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            d = int(rng.integers(2, 12))
+            p = int(rng.integers(1, 5))
+            pts = rng.standard_normal((d, p)) * rng.uniform(0.1, 10.0)
+            pts -= rng.dirichlet(np.ones(d)) @ pts   # put 0 inside the hull
+            A = rng.standard_normal((p, p))
+            assert _zero_exactly_when_inside(pts, A @ A.T / p + 0.3 * np.eye(p))
+
+
+def _scaled_support(rng, scale):
+    """A random support as in ``random_support``, times ``scale``."""
+    s = random_support(rng, d=int(rng.integers(2, 7)))
+    return SupportSet(points=scale * s.points, sigma=s.sigma), s
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e4, 1e6])
+def test_hull_solvers_at_large_scale(scale):
+    # gradient entries near 2 b_j'S b_j carry rounding far above an absolute
+    # 1e-9 there; both QPs must still converge, decide zero-in-hull as HiGHS
+    # does, and move with the scale of the support
+    rng = np.random.default_rng(13)
+    inside = 0
+    for _ in range(100):
+        big, unit = _scaled_support(rng, scale)
+        inside += _zero_exactly_when_inside(big.points, big.sigma)
+        bound = 1e-6 * scale * np.abs(unit.points).max()
+        np.testing.assert_allclose(hull_projection(big).point,
+                                   scale * hull_projection(unit).point, atol=bound)
+        np.testing.assert_allclose(pred_maximin_effect(big),
+                                   scale * pred_maximin_effect(unit), atol=bound)
+    assert 10 <= inside <= 90   # both answers occur in this family
 
 
 class TestPredMaximinEffect:
@@ -290,11 +372,16 @@ class TestWideSupportCertificates:
         assert iterations <= 30       # 15 measured
 
     def test_zero_in_hull_without_the_lp(self):
-        # the support of the zero-in-hull instance on which the LP's phase 1
-        # hits its pivot cap: the QP alone reaches the origin exactly
+        # the zero-in-hull instance on which a phase-1 feasibility LP hits
+        # its pivot cap: the hull QP alone reaches the origin, and
+        # hull_projection returns the exact zero point
         points = rng_from_seed(1).standard_normal((20_000, 50))
         points[:, 0] += 3.0
         w, gap, _ = oracle._simplex_qp(points, np.eye(50), np.zeros(20_000),
                                        oracle.DEFAULT_GAP_TOL, oracle.DEFAULT_MAX_ITER)
         assert gap <= 1e-9
         assert float(np.sum((points.T @ w) ** 2)) <= 1e-20
+        sol = hull_projection(SupportSet(points=points, sigma=np.eye(50)))
+        np.testing.assert_array_equal(sol.point, np.zeros(50))
+        np.testing.assert_array_equal(sol.weights, w)
+        assert sol.gap == gap
