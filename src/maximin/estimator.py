@@ -6,7 +6,8 @@ Two routes to an estimate:
   proportional to a negative power of each group's explained variance, so
   badly explained groups dominate) with one weighted penalized regression.
   The weighted subproblem is a coordinate-descent lasso for the l1 penalty
-  and a closed-form spectral solve for the l2 penalty.
+  and a closed-form spectral solve for the l2 penalty; under a norm bound
+  it is solved exactly over the norm ball.
 
 * :func:`fit_maximal_penalty` computes the direction that the penalized
   estimator approaches as the penalty grows to its vanishing threshold, as a
@@ -35,6 +36,7 @@ from .lp import simplex_solve
 from .model import (
     L1,
     L2,
+    MODE_CONSTRAINED,
     MODE_MAXIMAL,
     MODE_PENALIZED,
     Dataset,
@@ -43,8 +45,10 @@ from .model import (
     PenaltyConfig,
     validate,
 )
+from .oracle import DEFAULT_MAX_ITER, _simplex_qp
 
 WEIGHT_FLOOR_SCALE = 1e-6
+_MAX_SWEEPS = 20_000     # coordinate-descent sweeps per weighted step
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,7 @@ class GroupStats:
 def _dead_level(Y) -> float:
     """A fit is "dead" when even its best group explains nothing beyond
     numerical dust relative to the scale of the response Y."""
-    return 1e-12 * max(1.0, float(Y @ Y) / Y.shape[0])
+    return 1e-12 * float(Y @ Y) / Y.shape[0]
 
 
 def _group_stats(dataset: Dataset, groups, rows=None) -> GroupStats:
@@ -142,17 +146,21 @@ def _soft_threshold(z, t):
     return np.sign(z) * max(abs(z) - t, 0.0)
 
 
-def _solve_weighted_l1(A, d, lam, beta0, tol, max_sweeps=20_000):
-    """Coordinate descent on  -2 b'd + b'Ab + lam * ||b||_1.
+def _solve_weighted_l1(A, d, lam, beta0, tol, kappa=None):
+    """Coordinate descent on  -2 b'd + b'Ab + lam * ||b||_1, or at lam = 0
+    the exact minimizer of  -2 b'd + b'Ab  over the ball ||b||_1 <= kappa.
 
     Sweeps until the largest coordinate change falls below a scale-free
-    threshold.
+    threshold.  When a bound kappa is given and the descent's answer lies
+    outside the ball, the ball's minimizer is b = P'w with P = kappa [I; -I]
+    its 2p vertices and w the simplex QP of the hull oracle with
+    Q = P A P' and linear term -2 P d, solved to the duality gap ``tol``.
     """
     p = d.shape[0]
     beta = beta0.copy()
     Ab = A @ beta
     diag = np.diag(A)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         delta_max = 0.0
         for j in range(p):
             old = beta[j]
@@ -166,23 +174,33 @@ def _solve_weighted_l1(A, d, lam, beta0, tol, max_sweeps=20_000):
                 beta[j] = new
                 delta_max = max(delta_max, abs(new - old))
         if delta_max < tol * (1.0 + np.abs(beta).max(initial=0.0)):
-            return beta
-    raise NonConverged("coordinate descent hit the sweep limit", residual=delta_max)
+            break
+    else:
+        raise NonConverged("coordinate descent hit the sweep limit", residual=delta_max)
+    if kappa is None or np.abs(beta).sum() <= kappa:
+        return beta
+    P = kappa * np.vstack([np.eye(p), -np.eye(p)])
+    w, _, _ = _simplex_qp(P, A, -2.0 * (P @ d), tol, DEFAULT_MAX_ITER)
+    return P.T @ w
 
 
-def _solve_weighted_l2(A, d, lam):
-    """Exact minimizer of  -2 b'd + b'Ab + lam * ||b||_2.
+def _solve_weighted_l2(A, d, lam, kappa=None):
+    """Exact minimizer of  -2 b'd + b'Ab + lam * ||b||_2, or at lam = 0 of
+    -2 b'd + b'Ab  over the ball ||b||_2 <= kappa.
 
-    The first-order condition gives b = (A + mu I)^{-1} d with the scalar mu
-    tied to lam by  mu * ||b(mu)|| = lam / 2, a strictly increasing function
-    of mu, so bisection on its sign finds mu to adjacent floats.  lam = 0
-    degenerates to the plain weighted least-squares solve.
+    The first-order condition gives b = (A + mu I)^{-1} d with a scalar
+    mu >= 0.  For the penalty, mu is tied to lam by  mu * ||b(mu)|| = lam / 2,
+    a strictly increasing function of mu; lam = 0 degenerates to the plain
+    weighted least-squares solve.  For the ball, mu = 0 when that solve lies
+    inside it, and otherwise ||b(mu)|| = kappa, strictly decreasing in mu and
+    at most kappa at mu = ||d|| / kappa: the trust-region step (More and
+    Sorensen, 1983).  Either root is bisected to adjacent floats.
     """
     p = d.shape[0]
     evals, evecs = np.linalg.eigh(A)
-    if evals[0] <= 1e-12 * max(1.0, evals[-1]):
+    if evals[0] <= 1e-12 * evals[-1]:
         dn = evecs.T @ d
-        null = evals <= 1e-12 * max(1.0, evals[-1])
+        null = evals <= 1e-12 * evals[-1]
         if np.linalg.norm(dn[null]) > 1e-10 * max(1.0, np.linalg.norm(d)):
             raise SolverError(
                 "weighted Gram matrix is singular along the response direction")
@@ -193,7 +211,12 @@ def _solve_weighted_l2(A, d, lam):
         d_tilde = evecs.T @ d
 
     if lam == 0.0:
-        return evecs @ (d_tilde / evals)
+        free = d_tilde / evals
+        if kappa is None or np.linalg.norm(free) <= kappa:
+            return evecs @ free
+        mu = _bisect(lambda mu: np.linalg.norm(d_tilde / (evals + mu)) > kappa,
+                     0.0, float(np.linalg.norm(d_tilde)) / kappa)
+        return evecs @ (d_tilde / (evals + mu))
     norm_d = np.linalg.norm(d_tilde)
     if 2.0 * norm_d <= lam:
         return np.zeros(p)
@@ -258,8 +281,13 @@ def _line_search_step(v0, slope, curv, sizes, zeta, floor) -> float:
     return _bisect(rising, 0.0, 1.0)
 
 
-def _lambda_max(stats: GroupStats, q: str) -> float:
-    """:func:`lambda_max` on group statistics."""
+def lambda_max(dataset: Dataset, spec: GroupSpec, q: str = L1) -> float:
+    """Penalty level at which the uniformly weighted fit collapses to zero.
+
+    Twice the max-coordinate (l1) or the euclidean norm (l2) of the pooled
+    cross-product; a valid bracket endpoint for penalty searches.
+    """
+    stats = _validated_stats(dataset, spec)
     pooled = stats.sizes @ stats.crosses / stats.sizes.sum()
     if q == L1:
         return 2.0 * float(np.abs(pooled).max())
@@ -268,21 +296,19 @@ def _lambda_max(stats: GroupStats, q: str) -> float:
     raise ValidationError(f"penalty q must be {L1!r} or {L2!r}")
 
 
-def lambda_max(dataset: Dataset, spec: GroupSpec, q: str = L1) -> float:
-    """Penalty level at which the uniformly weighted fit collapses to zero.
-
-    Twice the max-coordinate (l1) or the euclidean norm (l2) of the pooled
-    cross-product; a valid bracket endpoint for penalty searches.
-    """
-    return _lambda_max(_validated_stats(dataset, spec), q)
-
-
 def _norm_q(beta, q):
     return float(np.abs(beta).sum()) if q == L1 else float(np.linalg.norm(beta))
 
 
 def _fit_at_lambda(stats: GroupStats, config: PenaltyConfig, lam: float) -> MaximinFit:
-    """The outer reweighting loop at one fixed penalty level."""
+    """The outer reweighting loop at one fixed penalty level.
+
+    In constrained mode (called with lam = 0) every weighted step is solved
+    exactly over the ball ||b||_q <= kappa, so one run of the loop fits the
+    constrained estimator and each iterate, a convex combination of points
+    of the ball, stays inside it.
+    """
+    kappa = config.kappa if config.mode == MODE_CONSTRAINED else None
     grams, crosses, sizes = stats.grams, stats.crosses, stats.sizes
     G, p = crosses.shape
     flat_grams = grams.reshape(G, p * p)
@@ -299,9 +325,9 @@ def _fit_at_lambda(stats: GroupStats, config: PenaltyConfig, lam: float) -> Maxi
         A = (mass @ flat_grams).reshape(p, p)
         d = mass @ crosses
         if config.q == L1:
-            cand = _solve_weighted_l1(A, d, lam, beta, inner_tol)
+            cand = _solve_weighted_l1(A, d, lam, beta, inner_tol, kappa)
         else:
-            cand = _solve_weighted_l2(A, d, lam)
+            cand = _solve_weighted_l2(A, d, lam, kappa)
 
         # V_g(beta + s d) = V_g(beta) + s slope_g - s^2 curv_g, so the new
         # group values come from the parabolas without another pass over
@@ -360,64 +386,22 @@ def fit_reweighted(dataset: Dataset, spec: GroupSpec,
     maximizers can lie far apart (see "Exact empirical maximin with a
     duality-gap certificate" in ROADMAP.md).
 
-    Constrained mode realizes the norm bound by bisecting the penalty level
-    until the fitted norm lands within 1% of kappa; when even the
-    unpenalized fit satisfies the bound the constraint is slack and the
-    unpenalized fit is returned.
+    Constrained mode runs the same loop without a penalty and solves each
+    weighted step exactly over the ball ||b||_q <= kappa: the l2 step is a
+    trust-region solve, the l1 step a simplex QP over the ball's 2p
+    vertices.  The fit therefore never leaves the ball.  A step whose
+    unconstrained solution lies inside the ball is that solution, so a bound
+    that no step reaches returns the unpenalized fit.
 
-    Raises :class:`AllGroupsNonpositive` when an effectively unpenalized fit
-    leaves every group's explained variance at or below zero: the worst-case
-    signal is then indistinguishable from zero.
+    Raises :class:`AllGroupsNonpositive` when a fit without penalty
+    (penalized with lam = 0, or constrained) leaves every group's explained
+    variance at or below zero: the worst-case signal is then
+    indistinguishable from zero.
     """
     stats = _validated_stats(dataset, spec)
     if config.mode == MODE_MAXIMAL:
         raise ValidationError("maximal mode is computed by fit_maximal_penalty")
-    return _fit_reweighted(stats, config)
-
-
-def _fit_reweighted(stats: GroupStats, config: PenaltyConfig) -> MaximinFit:
-    """:func:`fit_reweighted` on group statistics already built from
-    validated data."""
-    if config.mode == MODE_PENALIZED:
-        fit = _fit_at_lambda(stats, config, config.lam)
-        if config.lam == 0.0 and float(fit.group_V.max()) <= stats.dead_level:
-            raise AllGroupsNonpositive(
-                "no coefficient vector positively explains any group")
-        return fit
-
-    # constrained mode
-    kappa = float(config.kappa)
-    fit0 = _fit_at_lambda(stats, config, 0.0)
-    if _norm_q(fit0.beta, config.q) <= kappa:
-        if float(fit0.group_V.max()) <= stats.dead_level:
-            raise AllGroupsNonpositive(
-                "no coefficient vector positively explains any group")
-        return fit0
-
-    hi = _lambda_max(stats, config.q)
-    fit_hi = _fit_at_lambda(stats, config, hi)
-    guard = 0
-    while _norm_q(fit_hi.beta, config.q) > kappa and guard < 60:
-        hi *= 2.0
-        fit_hi = _fit_at_lambda(stats, config, hi)
-        guard += 1
-
-    lo = 0.0
-    best = fit_hi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        fit_mid = _fit_at_lambda(stats, config, mid)
-        norm_mid = _norm_q(fit_mid.beta, config.q)
-        if norm_mid > kappa:
-            lo = mid
-        else:
-            hi = mid
-            best = fit_mid
-        if abs(norm_mid - kappa) <= 0.01 * kappa:
-            return fit_mid
-    return MaximinFit(beta=best.beta, group_V=best.group_V, scale=1.0,
-                      iterations=best.iterations, converged=False,
-                      objective_path=best.objective_path)
+    return _fit_stats(stats, config)
 
 
 def fit_maximal_penalty(cross_products, config: PenaltyConfig | None = None) -> np.ndarray:
@@ -499,9 +483,14 @@ def fit_with_config(dataset: Dataset, spec: GroupSpec,
 
 def _fit_stats(stats: GroupStats, config: PenaltyConfig) -> MaximinFit:
     """:func:`fit_with_config` on group statistics already built from
-    validated data."""
+    validated data: the one private entry point of every fit."""
     if config.mode != MODE_MAXIMAL:
-        return _fit_reweighted(stats, config)
+        lam = config.lam if config.mode == MODE_PENALIZED else 0.0
+        fit = _fit_at_lambda(stats, config, lam)
+        if lam == 0.0 and float(fit.group_V.max()) <= stats.dead_level:
+            raise AllGroupsNonpositive(
+                "no coefficient vector positively explains any group")
+        return fit
     direction = fit_maximal_penalty(stats.crosses, config)
     s = _rescale(direction, stats)
     group_V = stats.values(s * direction)

@@ -23,6 +23,7 @@ from maximin import (
     update_weights,
 )
 from maximin import estimator
+from gridoracle import enumerate_simplex_qp
 
 L1CFG = PenaltyConfig(q="l1", mode="maximal")
 
@@ -311,6 +312,145 @@ class TestReweightedMultiGroup:
         ds, spec = two_group_data(rng, [1.0, 0.3], [1.0, -0.3], 100)
         fit_with_config(ds, spec, PenaltyConfig(q="l1", mode="maximal"))
         assert len(calls) == 1
+
+
+def _norm(beta, q):
+    return float(np.abs(beta).sum()) if q == "l1" else float(np.linalg.norm(beta))
+
+
+class TestConstrainedMode:
+    """Constrained mode runs one reweighting loop whose weighted steps are
+    solved exactly over the ball ||b||_q <= kappa."""
+
+    def _groups(self, rng, p, G, n_g=100):
+        # a shared strong signal explains every group, so the loop converges
+        # and a bound below the free fit's norm binds
+        b0 = rng.standard_normal(p)
+        b0[0] = 2.0
+        bs = [b0 + 0.4 * rng.standard_normal(p) for _ in range(G)]
+        X = rng.standard_normal((G * n_g, p))
+        Y = np.concatenate([X[g * n_g:(g + 1) * n_g] @ bs[g] for g in range(G)])
+        Y = Y + 0.2 * rng.standard_normal(G * n_g)
+        return Dataset(X=X, Y=Y), consecutive_blocks(G * n_g, G)
+
+    def test_binding_fits_meet_the_norm_exactly(self):
+        rng = np.random.default_rng(31)
+        for q in ("l1", "l2"):
+            for _ in range(10):
+                ds, spec = self._groups(rng, int(rng.integers(2, 6)),
+                                        int(rng.integers(2, 5)))
+                free = fit_reweighted(ds, spec, PenaltyConfig(q=q, lam=0.0))
+                kappa = float(rng.uniform(0.2, 0.9)) * _norm(free.beta, q)
+                fit = fit_reweighted(ds, spec, PenaltyConfig(q=q, mode="constrained",
+                                                             kappa=kappa))
+                assert abs(_norm(fit.beta, q) - kappa) <= 1e-9 * kappa
+                assert fit.converged
+
+    def test_fits_never_leave_the_ball(self):
+        # random instances with slack and binding bounds, and a p > n one
+        # (40 x 60) whose l1 fit read 1.0037 at kappa = 1 under the former
+        # penalty-level bisection
+        rng = np.random.default_rng(32)
+        cases = [self._groups(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5)))
+                 for _ in range(5)]
+        wide = np.random.default_rng(2)
+        X = wide.standard_normal((40, 60))
+        b = np.zeros(60)
+        b[:3] = [1.0, 0.6, -0.4]
+        Y = X @ b + 0.2 * wide.standard_normal(40)
+        cases.append((Dataset(X=X, Y=Y), consecutive_blocks(40, 2)))
+        for ds, spec in cases:
+            for q in ("l1", "l2"):
+                for kappa in (0.1, 0.5, 1.0, 3.0, 100.0):
+                    fit = fit_reweighted(ds, spec, PenaltyConfig(
+                        q=q, mode="constrained", kappa=kappa))
+                    assert _norm(fit.beta, q) <= kappa * (1.0 + 1e-12)
+
+    def test_one_reweighting_loop(self, monkeypatch):
+        levels = []
+        real = estimator._fit_at_lambda
+        monkeypatch.setattr(estimator, "_fit_at_lambda",
+                            lambda *a: levels.append(a[2]) or real(*a))
+        rng = np.random.default_rng(33)
+        ds, spec = two_group_data(rng, [1.0, 0.8, 0.0], [1.0, -0.8, 0.1],
+                                  300, noise=0.1)
+        for q in ("l1", "l2"):
+            for kappa in (0.5, 100.0):       # binding, slack
+                levels.clear()
+                fit_reweighted(ds, spec, PenaltyConfig(q=q, mode="constrained",
+                                                       kappa=kappa))
+                assert levels == [0.0]
+
+    def test_l2_ball_step_kkt(self):
+        # ||b|| = kappa, (A + mu I) b = d with mu >= 0 recovered from b; the
+        # singular A has no signal in its null space
+        rng = np.random.default_rng(34)
+        for rank_deficient in (False, True):
+            for _ in range(20):
+                p = int(rng.integers(2, 7))
+                Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+                evals = rng.uniform(0.01, 3.0, p)
+                if rank_deficient:
+                    evals[rng.integers(p)] = 0.0
+                A = (Q * evals) @ Q.T
+                d = Q @ (rng.standard_normal(p) * (evals > 0.0))
+                free = estimator._solve_weighted_l2(A, d, 0.0)
+                kappa = float(rng.uniform(0.05, 0.95)) * np.linalg.norm(free)
+                b = estimator._solve_weighted_l2(A, d, 0.0, kappa)
+                assert np.linalg.norm(b) == pytest.approx(kappa, rel=1e-12)
+                mu = (d - A @ b) @ b / (b @ b)
+                assert mu >= 0.0
+                assert np.linalg.norm(A @ b + mu * b - d) <= 1e-12 * np.linalg.norm(d)
+                slack = estimator._solve_weighted_l2(A, d, 0.0, 2.0 * np.linalg.norm(free))
+                np.testing.assert_array_equal(slack, free)
+
+    def test_l1_ball_step_matches_enumeration(self):
+        rng = np.random.default_rng(35)
+        binding = 0
+        for _ in range(300):
+            p = int(rng.integers(1, 4))
+            M = rng.standard_normal((p + 2, p))
+            A = M.T @ M / (p + 2)
+            d = rng.standard_normal(p)
+            kappa = float(rng.uniform(0.05, 3.0))
+            b = estimator._solve_weighted_l1(A, d, 0.0, np.zeros(p), 1e-12, kappa)
+            P = kappa * np.vstack([np.eye(p), -np.eye(p)])
+            _, ref = enumerate_simplex_qp(P, A, -2.0 * (P @ d))
+            assert np.abs(b).sum() <= kappa * (1.0 + 1e-12)
+            assert -2.0 * b @ d + b @ A @ b == pytest.approx(ref, abs=1e-12)
+            binding += np.abs(np.linalg.solve(A, d)).sum() > kappa
+        # both the ball's QP and the free descent answer occur
+        assert 30 <= binding <= 270
+
+
+class TestUnitScale:
+    """No absolute floor makes a fit depend on the units of X or Y."""
+
+    def _data(self):
+        rng = np.random.default_rng(40)
+        X = rng.standard_normal((400, 3))
+        B = np.array([1.0, 0.5, -0.3]) + 0.3 * rng.standard_normal((4, 3))
+        Y = np.concatenate([X[100 * g:100 * (g + 1)] @ B[g] for g in range(4)])
+        return X, Y + 0.5 * rng.standard_normal(400), consecutive_blocks(400, 4)
+
+    def test_coefficients_scale_inversely_with_the_predictors(self):
+        X, Y, spec = self._data()
+        for q in ("l1", "l2"):
+            cfg = PenaltyConfig(q=q, lam=0.0)
+            base = fit_reweighted(Dataset(X=X, Y=Y), spec, cfg).beta
+            for c in (1e-5, 1e-6, 1e-7):
+                beta = fit_reweighted(Dataset(X=c * X, Y=Y), spec, cfg).beta
+                assert np.linalg.norm(c * beta - base) <= 1e-9 * np.linalg.norm(base)
+
+    def test_small_response_fits_and_zero_response_raises(self):
+        X, Y, spec = self._data()
+        for q in ("l1", "l2"):
+            for cfg in (PenaltyConfig(q=q, lam=0.0),
+                        PenaltyConfig(q=q, mode="constrained", kappa=1.0)):
+                fit = fit_reweighted(Dataset(X=X, Y=1e-7 * Y), spec, cfg)
+                assert fit.group_V.max() > 0.0
+                with pytest.raises(AllGroupsNonpositive):
+                    fit_reweighted(Dataset(X=X, Y=0.0 * Y), spec, cfg)
 
 
 class TestBasicInequality:
