@@ -11,9 +11,10 @@ Two routes to an estimate:
 
 * :func:`fit_maximal_penalty` computes the direction that the penalized
   estimator approaches as the penalty grows to its vanishing threshold, as a
-  linear program over per-group cross-products only: the design matrix never
-  enters, so storage is O(pG).  :func:`rescale` then restores a prediction
-  scale exactly, from one parabola per group.
+  linear program over the G x p per-group cross-products only: the design
+  matrix never enters, and the solver reads the cross-products in place, so
+  storage is O(G^2 + p) on top of them.  :func:`rescale` then restores a
+  prediction scale exactly, from one parabola per group.
 
 The data enter only through per-group Gram matrices, cross-products and
 sizes, held in one :class:`GroupStats`: the one input of every consumer
@@ -408,24 +409,15 @@ def fit_maximal_penalty(cross_products, config: PenaltyConfig | None = None) -> 
     """Direction limit of the penalized estimator at its vanishing threshold.
 
     Minimizes the l1 norm subject to a unit lower bound on every group
-    alignment beta'c_g, as a linear program on the split beta = b+ - b-.
-    Only the per-group cross-products enter; the design matrix is never
-    touched.  Raises :class:`Infeasible` when no direction aligns positively
-    with all groups, which is exactly the vanishing-signal geometry.
+    alignment beta'c_g: the linear program of :func:`lp.simplex_solve`,
+    which reads the G x p cross-products C in place, so memory is O(G^2 + p)
+    on top of C.  The design matrix is never touched.  Raises
+    :class:`Infeasible` when no direction aligns positively with all
+    groups, which is exactly the vanishing-signal geometry.
     """
     if config is not None and config.q != L1:
         raise ValidationError("the maximal-penalty direction is defined for the l1 penalty")
-    C = np.atleast_2d(np.asarray(cross_products, dtype=np.float64))
-    G, p = C.shape
-    # [C, -C, -I] written in place: no temporary the size of C
-    A = np.empty((G, 2 * p + G))
-    A[:, :p] = C
-    np.negative(C, out=A[:, p:2 * p])
-    A[:, 2 * p:] = -np.eye(G)
-    b = np.ones(G)
-    c = np.concatenate([np.ones(2 * p), np.zeros(G)])
-    res = simplex_solve(c, A, b)
-    return res.x[:p] - res.x[p:2 * p]
+    return simplex_solve(np.atleast_2d(cross_products)).beta
 
 
 def rescale(beta, dataset: Dataset, spec: GroupSpec) -> float:

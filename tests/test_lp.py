@@ -1,87 +1,99 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from maximin import Infeasible, NonConverged, SolverError
+from maximin import Infeasible, NonConverged, PenaltyConfig, fit_maximal_penalty
 from maximin import lp
 from maximin.lp import simplex_solve
 
 
+def _highs(C):
+    # the same program on the split beta = b+ - b-, as inequalities
+    G, p = C.shape
+    return linprog(np.ones(2 * p), A_ub=np.hstack([-C, C]), b_ub=-np.ones(G),
+                   bounds=(0, None), method="highs")
+
+
+def _feasible_C(rng, G, p, draw):
+    # rows flipped to align positively with a random direction, so that
+    # a scaled copy of it meets C beta >= 1
+    while True:
+        C = draw((G, p))
+        a = C @ draw(p)
+        if np.all(a != 0.0):
+            return C * np.sign(a)[:, None]
+
+
+def _check_optimal(C, res, ref, atol, feas_atol):
+    assert ref.status == 0
+    assert res.objective == pytest.approx(ref.fun, abs=atol)
+    assert float(np.abs(res.beta).sum()) == pytest.approx(res.objective, abs=1e-12)
+    assert np.all(C @ res.beta >= 1.0 - feas_atol)
+
+
 def test_known_solution():
-    # min x + y  s.t.  x + 2y = 4
-    res = simplex_solve(np.array([1.0, 1.0]), np.array([[1.0, 2.0]]), np.array([4.0]))
-    np.testing.assert_allclose(res.x, [0.0, 2.0], atol=1e-12)
-    assert res.objective == pytest.approx(2.0)
-
-
-def test_negative_rhs_handled():
-    # same program written with a flipped row
-    res = simplex_solve(np.array([1.0, 1.0]), np.array([[-1.0, -2.0]]), np.array([-4.0]))
-    np.testing.assert_allclose(res.x, [0.0, 2.0], atol=1e-12)
+    # min |b1| + |b2|  s.t.  b1 + 2 b2 >= 1
+    res = simplex_solve(np.array([[1.0, 2.0]]))
+    np.testing.assert_allclose(res.beta, [0.0, 0.5], atol=1e-12)
+    assert res.objective == pytest.approx(0.5)
+    # a row that needs a negative coefficient: -2 b2 >= 1
+    res = simplex_solve(np.array([[1.0, 0.0], [0.0, -2.0]]))
+    np.testing.assert_allclose(res.beta, [1.0, -0.5], atol=1e-12)
+    assert res.objective == pytest.approx(1.5)
 
 
 def test_infeasible():
-    # x1 + x2 = -1 is impossible for x >= 0
+    # b >= 1 and -b >= 1 cannot both hold; neither can 0'b >= 1
     with pytest.raises(Infeasible):
-        simplex_solve(np.zeros(2), np.array([[1.0, 1.0]]), np.array([-1.0]))
+        simplex_solve(np.array([[1.0], [-1.0]]))
+    with pytest.raises(Infeasible):
+        simplex_solve(np.zeros((1, 3)))
 
 
 def test_degenerate_redundant_rows_terminate():
-    # duplicated constraints create degenerate bases; must still terminate
-    A = np.array([[1.0, 1.0, 1.0],
-                  [1.0, 1.0, 1.0],
-                  [2.0, 2.0, 2.0]])
-    b = np.array([3.0, 3.0, 6.0])
-    res = simplex_solve(np.array([1.0, 2.0, 3.0]), A, b)
-    assert res.objective == pytest.approx(3.0)
-    np.testing.assert_allclose(A @ res.x, b, atol=1e-9)
-
-
-def test_unbounded():
-    # min -x1  s.t.  x1 - x2 = 1: x1 grows without bound along x2
-    with pytest.raises(SolverError, match="unbounded"):
-        simplex_solve(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([1.0]))
+    # duplicated rows create degenerate bases; the solve must still
+    # terminate at the optimum
+    for C in (np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]),
+              np.array([[1.0, 2.0, 3.0]] * 3),
+              np.array([[1.0, -1.0], [1.0, -1.0], [0.5, 2.0], [0.5, 2.0]])):
+        res = simplex_solve(C)
+        _check_optimal(C, res, _highs(C), atol=1e-9, feas_atol=1e-9)
 
 
 def test_iteration_cap():
     # phase 1 needs one pivot per row to drive both artificials out
-    A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     with pytest.raises(NonConverged):
-        simplex_solve(np.ones(3), A, np.array([1.0, 2.0]), max_iter=1)
+        simplex_solve(np.eye(2), max_iter=1)
 
 
 def test_iteration_cap_covers_both_phases(monkeypatch):
     # each phase fits under the cap on its own, the two together do not
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((3, 8))
-    b = A @ rng.uniform(0.5, 1.5, size=8)
-    c = np.abs(rng.standard_normal(8))
+    rng = np.random.default_rng(2)
+    C = _feasible_C(rng, 3, 8, rng.standard_normal)
     phases = []
     real = lp._run_phase
     monkeypatch.setattr(lp, "_run_phase",
                         lambda *a: phases.append(real(*a)) or phases[-1])
-    res = simplex_solve(c, A, b)
+    res = simplex_solve(C)
     p1, p2 = phases
     assert p1 >= 2 and p2 >= 2
     assert res.iterations == p1 + p2
     with pytest.raises(NonConverged):
-        simplex_solve(c, A, b, max_iter=max(p1, p2) + 1)
-    assert simplex_solve(c, A, b, max_iter=p1 + p2 + 1).iterations == p1 + p2
+        simplex_solve(C, max_iter=max(p1, p2) + 1)
+    assert simplex_solve(C, max_iter=p1 + p2 + 1).iterations == p1 + p2
 
 
 def test_inputs_left_unchanged():
-    # rows with unequal scales and a negative right-hand side exercise the
-    # row scaling and the sign flip
+    # rows with unequal scales exercise the row scaling
     rng = np.random.default_rng(11)
-    A = rng.standard_normal((4, 9)) * np.array([[1e-3], [1.0], [50.0], [2.0]])
-    A[1] = -np.abs(A[1])
-    b = A @ rng.uniform(0.5, 1.5, size=9)
-    c = np.abs(rng.standard_normal(9))
-    A0, b0, c0 = A.copy(), b.copy(), c.copy()
-    simplex_solve(c, A, b)
-    np.testing.assert_array_equal(A, A0)
-    np.testing.assert_array_equal(b, b0)
-    np.testing.assert_array_equal(c, c0)
+    C = _feasible_C(rng, 4, 9, rng.standard_normal)
+    C *= np.array([[1e-3], [1.0], [50.0], [2.0]])
+    C0 = C.copy()
+    res = simplex_solve(C)
+    np.testing.assert_array_equal(C, C0)
+    _check_optimal(C, res, _highs(C), atol=1e-7, feas_atol=1e-8)
 
 
 def _wide_cross_products(G, p):
@@ -98,61 +110,50 @@ def _wide_cross_products(G, p):
 def test_mid_size_maximal_lp_pivots_and_optimum():
     G, p = 8, 5000
     C = _wide_cross_products(G, p)
-    A = np.hstack([C, -C, -np.eye(G)])
-    c = np.concatenate([np.ones(2 * p), np.zeros(G)])
-    res = simplex_solve(c, A, np.ones(G))
+    res = simplex_solve(C)
     # pins the pivot path that Dantzig pricing with lowest-index ties takes
     assert res.iterations == 30
-    ref = linprog(np.ones(2 * p), A_ub=np.hstack([-C, C]), b_ub=-np.ones(G),
-                  bounds=(0, None), method="highs")
-    assert ref.status == 0
-    assert res.objective == pytest.approx(ref.fun, abs=1e-9)
-    beta = res.x[:p] - res.x[p:2 * p]
+    _check_optimal(C, res, _highs(C), atol=1e-9, feas_atol=1e-9)
+
+
+def test_maximal_penalty_memory_stays_below_half_of_C():
+    # the solver reads C in place: a standard-form copy [C, -C, -I] alone
+    # would take twice C's bytes
+    C = _wide_cross_products(20, 50_000)
+    tracemalloc.start()
+    try:
+        beta = fit_maximal_penalty(C, PenaltyConfig(q="l1", mode="maximal"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert np.all(C @ beta >= 1.0 - 1e-9)
+    assert peak < 0.5 * C.nbytes
 
 
 def test_against_scipy_on_random_programs():
     rng = np.random.default_rng(7)
-    checked = 0
-    for trial in range(120):
-        m = int(rng.integers(1, 5))
-        n = int(rng.integers(m, m + 8))
-        A = rng.standard_normal((m, n))
-        # generate from a known feasible point so most cases are feasible
-        x_feas = rng.uniform(0.0, 2.0, size=n)
-        b = A @ x_feas
-        if trial % 3 == 0:
-            c = rng.standard_normal(n)          # may be unbounded
-        else:
-            c = np.abs(rng.standard_normal(n))  # bounded below by zero
-        ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-        if ref.status == 3:
-            continue  # unbounded; our solver raises instead, skip value check
-        assert ref.status == 0
-        res = simplex_solve(c, A, b)
-        assert res.objective == pytest.approx(ref.fun, abs=1e-7)
-        np.testing.assert_allclose(A @ res.x, b, atol=1e-8)
-        assert np.all(res.x >= -1e-10)
-        checked += 1
-    assert checked >= 90
+    for _ in range(120):
+        G = int(rng.integers(1, 6))
+        p = int(rng.integers(1, 9))
+        C = _feasible_C(rng, G, p, rng.standard_normal)
+        _check_optimal(C, simplex_solve(C), _highs(C), atol=1e-7, feas_atol=1e-8)
 
 
 def test_infeasible_detection_matches_scipy():
+    # four random rows in the plane: about half the draws admit no beta
     rng = np.random.default_rng(8)
-    agree = 0
+    outcomes = set()
     for _ in range(60):
-        m, n = 3, 4
-        A = rng.standard_normal((m, n))
-        b = rng.standard_normal(m) * 3.0
-        ref = linprog(np.zeros(n), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        C = rng.standard_normal((4, 2))
+        ref = _highs(C)
         try:
-            simplex_solve(np.zeros(n), A, b)
+            simplex_solve(C)
             ours_feasible = True
         except Infeasible:
             ours_feasible = False
         assert ours_feasible == (ref.status == 0)
-        agree += 1
-    assert agree == 60
+        outcomes.add(ours_feasible)
+    assert outcomes == {True, False}
 
 
 def test_bland_rule_against_scipy(monkeypatch):
@@ -160,14 +161,12 @@ def test_bland_rule_against_scipy(monkeypatch):
     # reach the optimum, on integer data where degenerate pivots are common
     monkeypatch.setattr(lp, "_STALL_LIMIT", 1)
     rng = np.random.default_rng(12)
+
+    def draw(shape):
+        return np.round(2.0 * rng.standard_normal(shape))
+
     for _ in range(60):
-        m = int(rng.integers(1, 6))
-        n = int(rng.integers(m, m + 10))
-        A = np.round(rng.standard_normal((m, n)))
-        b = A @ np.round(rng.uniform(0.0, 2.0, size=n))
-        c = np.round(np.abs(rng.standard_normal(n)), 1)
-        ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-        assert ref.status == 0
-        res = simplex_solve(c, A, b)
-        assert res.objective == pytest.approx(ref.fun, abs=1e-7)
-        np.testing.assert_allclose(A @ res.x, b, atol=1e-8)
+        G = int(rng.integers(1, 6))
+        p = int(rng.integers(1, 10))
+        C = _feasible_C(rng, G, p, draw)
+        _check_optimal(C, simplex_solve(C), _highs(C), atol=1e-7, feas_atol=1e-8)
