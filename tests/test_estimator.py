@@ -23,6 +23,7 @@ from maximin import (
     update_weights,
 )
 from maximin import estimator
+from maximin.simulate import gen_figure2
 from gridoracle import enumerate_simplex_qp
 
 L1CFG = PenaltyConfig(q="l1", mode="maximal")
@@ -451,6 +452,18 @@ class TestUnitScale:
                 assert fit.group_V.max() > 0.0
                 with pytest.raises(AllGroupsNonpositive):
                     fit_reweighted(Dataset(X=X, Y=0.0 * Y), spec, cfg)
+
+    @pytest.mark.parametrize("a, b", [(-20, 0), (0, -30), (20, 20), (-30, -30), (30, 0)])
+    def test_maximal_mode_scales_exactly(self, a, b):
+        # X 2^a and Y 2^b scale the cross-products by 2^(a+b) and the Grams
+        # by 2^(2a), so the maximal fit's coefficients scale by 2^(b-a)
+        data = gen_figure2(20000, seed=7).dataset
+        spec = consecutive_blocks(data.n, 40)
+        cfg = PenaltyConfig(mode="maximal")
+        base = fit_with_config(data, spec, cfg).coefficients
+        scaled = Dataset(X=np.ldexp(data.X, a), Y=np.ldexp(data.Y, b))
+        np.testing.assert_array_equal(
+            fit_with_config(scaled, spec, cfg).coefficients, np.ldexp(base, b - a))
 
 
 class TestBasicInequality:

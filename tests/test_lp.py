@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from maximin import Infeasible, NonConverged, PenaltyConfig, fit_maximal_penalty
+from maximin import (Infeasible, NonConverged, PenaltyConfig, SolverError,
+                     fit_maximal_penalty)
 from maximin import lp
 from maximin.lp import simplex_solve
 
@@ -50,6 +51,9 @@ def test_infeasible():
         simplex_solve(np.array([[1.0], [-1.0]]))
     with pytest.raises(Infeasible):
         simplex_solve(np.zeros((1, 3)))
+    # a zero row next to a tiny one
+    with pytest.raises(Infeasible):
+        simplex_solve(np.array([[0.0, 0.0], [1e-9, 0.0]]))
 
 
 def test_degenerate_redundant_rows_terminate():
@@ -70,7 +74,7 @@ def test_iteration_cap():
 
 def test_iteration_cap_covers_both_phases(monkeypatch):
     # each phase fits under the cap on its own, the two together do not
-    rng = np.random.default_rng(2)
+    rng = np.random.default_rng(7)
     C = _feasible_C(rng, 3, 8, rng.standard_normal)
     phases = []
     real = lp._run_phase
@@ -112,7 +116,7 @@ def test_mid_size_maximal_lp_pivots_and_optimum():
     C = _wide_cross_products(G, p)
     res = simplex_solve(C)
     # pins the pivot path that Dantzig pricing with lowest-index ties takes
-    assert res.iterations == 30
+    assert res.iterations == 11
     _check_optimal(C, res, _highs(C), atol=1e-9, feas_atol=1e-9)
 
 
@@ -170,3 +174,126 @@ def test_bland_rule_against_scipy(monkeypatch):
         p = int(rng.integers(1, 10))
         C = _feasible_C(rng, G, p, draw)
         _check_optimal(C, simplex_solve(C), _highs(C), atol=1e-7, feas_atol=1e-8)
+
+
+def test_wide_program_pivots_do_not_depend_on_column_order():
+    # on the raw C this program took 93 pivots in demo order, and 1342 or
+    # the pivot cap under these permutations
+    C = _wide_cross_products(20, 200_000)
+    base = simplex_solve(C)
+    assert base.iterations == 23
+    for seed in (0, 1, 2):
+        order = np.random.Generator(np.random.Philox(seed)).permutation(C.shape[1])
+        res = simplex_solve(C[:, order])
+        assert res.iterations == base.iterations
+        assert res.objective == pytest.approx(base.objective, rel=1e-12)
+
+
+def test_answer_scales_exactly_with_C():
+    # C 2^k is solved as the same program on C/sigma, so beta scales by 2^-k
+    # to the bit, far outside the units where absolute tolerances hold
+    C = _wide_cross_products(8, 500)
+    base = simplex_solve(C)
+    for k in (-60, -20, 20, 60):
+        res = simplex_solve(np.ldexp(C, k))
+        np.testing.assert_array_equal(np.ldexp(res.beta, k), base.beta)
+        assert res.iterations == base.iterations
+    cfg = PenaltyConfig(q="l1", mode="maximal")
+    np.testing.assert_array_equal(fit_maximal_penalty(np.ldexp(C, 40), cfg),
+                                  np.ldexp(fit_maximal_penalty(C, cfg), -40))
+
+
+def test_badly_scaled_infeasible_program():
+    # opposite signs in one coordinate; raw-C tolerances returned beta = 6.9e-8
+    with pytest.raises(Infeasible):
+        simplex_solve(np.array([[14569618.153052555], [-53184220.30534141]]))
+
+
+def _scaled_programs(rng, count, low, high):
+    """Random programs with G <= 4 rows and p <= 3 columns, a third of them
+    with two nearly opposite rows, each row scaled by 10^U(low, high)."""
+    for _ in range(count):
+        G, p = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        C = rng.standard_normal((G, p))
+        if G >= 2 and rng.random() < 1 / 3:
+            C[1] = -C[0] + 1e-3 * rng.standard_normal(p)
+        yield C * 10.0 ** rng.uniform(low, high, (G, 1))
+
+
+def _relative_excess(C, beta):
+    # min_i (C beta - 1)_i on the rounding scale of (C beta)_i, |C||beta|
+    return float(np.min((C @ beta - 1.0) / np.maximum(np.abs(C) @ np.abs(beta), 1.0)))
+
+
+def _outcomes(programs):
+    """Tally the solver against HiGHS on C/sigma (sigma the power of two at
+    or above max|C|: on the raw C, HiGHS's absolute tolerances fail too).
+    'wrong' is an Infeasible where HiGHS finds a beta, a beta that violates
+    C beta >= 1 beyond rounding, or an objective above a feasible HiGHS
+    optimum; 'error' is a raised SolverError, and 'disagree' a certified
+    beta where HiGHS finds none."""
+    tally = {"agree": 0, "wrong": 0, "error": 0}
+    for C in programs:
+        p = C.shape[1]
+        sigma = 2.0 ** np.ceil(np.log2(np.abs(C).max()))
+        ref = _highs(C / sigma)
+        ref_beta = (ref.x[:p] - ref.x[p:]) / sigma if ref.status == 0 else None
+        ref_ok = ref_beta is not None and _relative_excess(C, ref_beta) >= -1e-9
+        try:
+            res = simplex_solve(C)
+        except Infeasible:
+            tally["wrong" if ref_ok else "agree"] += 1
+            continue
+        except SolverError:
+            tally["error"] += 1
+            continue
+        if (_relative_excess(C, res.beta) < -1e-9
+                or ref_ok and res.objective > (1 + 1e-6) * np.abs(ref_beta).sum()):
+            kind = "wrong"
+        elif ref.status == 0:
+            kind = "agree"
+        else:
+            kind = "disagree"
+        tally[kind] = tally.get(kind, 0) + 1
+    return tally
+
+
+@pytest.mark.parametrize("low, high", [(6, 9), (-9, -6)])
+def test_uniform_row_scales_agree_with_highs(low, high):
+    rng = np.random.default_rng(1)
+    assert _outcomes(_scaled_programs(rng, 300, low, high)) == {
+        "agree": 300, "wrong": 0, "error": 0}
+
+
+def test_rows_two_decades_apart_are_answered():
+    rng = np.random.default_rng(1)
+    assert _outcomes(_scaled_programs(rng, 500, -2, 2)) == {
+        "agree": 500, "wrong": 0, "error": 0}
+
+
+def test_rows_four_decades_apart_are_never_answered_wrongly():
+    rng = np.random.default_rng(1)
+    assert _outcomes(_scaled_programs(rng, 1500, -4, 4))["wrong"] == 0
+
+
+def test_certificate_rejects_a_suboptimal_answer(monkeypatch):
+    # without its phase-2 pivots the solve stops at a feasible, suboptimal
+    # vertex: the dual check must refuse it
+    rng = np.random.default_rng(7)
+    C = _feasible_C(rng, 3, 8, rng.standard_normal)
+    real = lp._run_phase
+    monkeypatch.setattr(lp, "_run_phase",
+                        lambda C, slack, phase2, *a: 0 if phase2 else real(C, slack, phase2, *a))
+    with pytest.raises(SolverError, match="certificate"):
+        simplex_solve(C)
+
+
+def test_farkas_certificate():
+    # the slack columns -R of rows with unit norms
+    slack, u = np.array([-1.0, -1.0]), np.empty(2)
+    # b >= 1 and -b >= 1: y = (1, 1) gives C'y = 0
+    assert lp._farkas(np.array([[1.0], [-1.0]]), slack, np.array([1.0, 1.0]), u[:1])
+    # a feasible program has no certificate
+    C = np.array([[1.0, 0.0], [-1.0, 1e-3]])
+    assert not lp._farkas(C, slack, np.array([1.0, 1.0]), u)
+    assert not lp._farkas(C, slack, np.zeros(2), u)
