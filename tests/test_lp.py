@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from maximin import (Infeasible, NonConverged, PenaltyConfig, SolverError,
-                     fit_maximal_penalty)
+from maximin import (Infeasible, NonConverged, NonFiniteData, PenaltyConfig,
+                     SolverError, fit_maximal_penalty)
 from maximin import lp
 from maximin.lp import simplex_solve
 
@@ -45,6 +45,13 @@ def test_known_solution():
     assert res.objective == pytest.approx(1.5)
 
 
+def test_no_rows():
+    # no constraint: beta = 0 is optimal before any pivot
+    res = simplex_solve(np.zeros((0, 3)))
+    np.testing.assert_array_equal(res.beta, np.zeros(3))
+    assert res.objective == 0.0 and res.iterations == 0
+
+
 def test_infeasible():
     # b >= 1 and -b >= 1 cannot both hold; neither can 0'b >= 1
     with pytest.raises(Infeasible):
@@ -54,6 +61,16 @@ def test_infeasible():
     # a zero row next to a tiny one
     with pytest.raises(Infeasible):
         simplex_solve(np.array([[0.0, 0.0], [1e-9, 0.0]]))
+    # rows without columns are zero rows
+    with pytest.raises(Infeasible):
+        simplex_solve(np.zeros((2, 0)))
+
+
+def test_non_finite_C_is_rejected():
+    # C beta is NaN for these, and NaN passes every comparison of the check
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteData):
+            simplex_solve(np.array([[bad, 1.0], [1.0, 1.0]]))
 
 
 def test_degenerate_redundant_rows_terminate():
@@ -67,26 +84,20 @@ def test_degenerate_redundant_rows_terminate():
 
 
 def test_iteration_cap():
-    # phase 1 needs one pivot per row to drive both artificials out
+    # the all-slack start leaves both rows below 1, one pivot lifts one
     with pytest.raises(NonConverged):
         simplex_solve(np.eye(2), max_iter=1)
 
 
-def test_iteration_cap_covers_both_phases(monkeypatch):
-    # each phase fits under the cap on its own, the two together do not
+def test_iteration_cap_counts_every_pivot():
+    # the cap admits exactly max_iter pivots of the one dual-simplex loop
     rng = np.random.default_rng(7)
     C = _feasible_C(rng, 3, 8, rng.standard_normal)
-    phases = []
-    real = lp._run_phase
-    monkeypatch.setattr(lp, "_run_phase",
-                        lambda *a: phases.append(real(*a)) or phases[-1])
-    res = simplex_solve(C)
-    p1, p2 = phases
-    assert p1 >= 2 and p2 >= 2
-    assert res.iterations == p1 + p2
+    n = simplex_solve(C).iterations
+    assert n >= 2
+    assert simplex_solve(C, max_iter=n).iterations == n
     with pytest.raises(NonConverged):
-        simplex_solve(C, max_iter=max(p1, p2) + 1)
-    assert simplex_solve(C, max_iter=p1 + p2 + 1).iterations == p1 + p2
+        simplex_solve(C, max_iter=n - 1)
 
 
 def test_inputs_left_unchanged():
@@ -115,8 +126,8 @@ def test_mid_size_maximal_lp_pivots_and_optimum():
     G, p = 8, 5000
     C = _wide_cross_products(G, p)
     res = simplex_solve(C)
-    # pins the pivot path that Dantzig pricing with lowest-index ties takes
-    assert res.iterations == 11
+    # pins the pivot path of the dual simplex from the all-slack basis
+    assert res.iterations == 4
     _check_optimal(C, res, _highs(C), atol=1e-9, feas_atol=1e-9)
 
 
@@ -160,6 +171,32 @@ def test_infeasible_detection_matches_scipy():
     assert outcomes == {True, False}
 
 
+def test_against_scipy_with_many_groups():
+    # G up to 30 rows: feasible Gaussian draws, unaligned ones (mostly
+    # infeasible once G > p) and integer-rounded aligned ones, where ties
+    # and degenerate pivots are common
+    rng = np.random.default_rng(123)
+    outcomes = set()
+    for t in range(300):
+        G, p = int(rng.integers(1, 31)), int(rng.integers(1, 61))
+        if t % 3 == 0:
+            C = _feasible_C(rng, G, p, rng.standard_normal)
+        elif t % 3 == 1:
+            C = rng.standard_normal((G, p))
+        else:
+            C = _feasible_C(rng, G, p, lambda shape: np.round(2.0 * rng.standard_normal(shape)))
+        ref = _highs(C)
+        try:
+            res = simplex_solve(C)
+        except Infeasible:
+            assert ref.status == 2
+            outcomes.add(False)
+            continue
+        _check_optimal(C, res, ref, atol=1e-7, feas_atol=1e-8)
+        outcomes.add(True)
+    assert outcomes == {True, False}
+
+
 def test_bland_rule_against_scipy(monkeypatch):
     # switching to Bland's rule after every non-improving pivot must still
     # reach the optimum, on integer data where degenerate pivots are common
@@ -177,16 +214,25 @@ def test_bland_rule_against_scipy(monkeypatch):
 
 
 def test_wide_program_pivots_do_not_depend_on_column_order():
-    # on the raw C this program took 93 pivots in demo order, and 1342 or
-    # the pivot cap under these permutations
+    # a primal simplex on the raw C took 93 pivots in demo order, and 1342
+    # or the pivot cap under these permutations
     C = _wide_cross_products(20, 200_000)
     base = simplex_solve(C)
-    assert base.iterations == 23
+    assert base.iterations == 4
     for seed in (0, 1, 2):
         order = np.random.Generator(np.random.Philox(seed)).permutation(C.shape[1])
         res = simplex_solve(C[:, order])
         assert res.iterations == base.iterations
         assert res.objective == pytest.approx(base.objective, rel=1e-12)
+
+
+def test_wide_program_answer_has_no_pivot_dust():
+    # every row is met by the shared column alone; basic levels left at
+    # rounding level by the pivots read as exact zeros
+    C = _wide_cross_products(20, 200_000)
+    beta = simplex_solve(C).beta
+    np.testing.assert_array_equal(np.flatnonzero(beta), [0])
+    assert beta[0] == pytest.approx(1.0 / 0.52, rel=1e-15)
 
 
 def test_answer_scales_exactly_with_C():
@@ -277,14 +323,22 @@ def test_rows_four_decades_apart_are_never_answered_wrongly():
 
 
 def test_certificate_rejects_a_suboptimal_answer(monkeypatch):
-    # without its phase-2 pivots the solve stops at a feasible, suboptimal
-    # vertex: the dual check must refuse it
+    # a dual simplex stopped after one pivot holds a basis whose levels are
+    # not all nonnegative: its beta misses C beta >= 1, and the primal check
+    # must refuse it
     rng = np.random.default_rng(7)
     C = _feasible_C(rng, 3, 8, rng.standard_normal)
-    real = lp._run_phase
-    monkeypatch.setattr(lp, "_run_phase",
-                        lambda C, slack, phase2, *a: 0 if phase2 else real(C, slack, phase2, *a))
-    with pytest.raises(SolverError, match="certificate"):
+    assert simplex_solve(C).iterations >= 2
+    real = lp._dual_simplex
+
+    def one_pivot(C, slack, T, basis, max_iter):
+        try:
+            return real(C, slack, T, basis, 1)
+        except NonConverged:
+            return 1
+
+    monkeypatch.setattr(lp, "_dual_simplex", one_pivot)
+    with pytest.raises(SolverError, match="C beta >= 1 is violated"):
         simplex_solve(C)
 
 
