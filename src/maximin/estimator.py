@@ -18,11 +18,13 @@ Two routes to an estimate:
 
 The data enter only through per-group Gram matrices, cross-products and
 sizes, held in one :class:`GroupStats`: the one input of every consumer
-below the public functions, each of which validates and builds it once.
+below the public functions, which share it through :func:`_validated_stats`,
+so it is validated and built once per (Dataset, GroupSpec) pair.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,9 +140,28 @@ def _group_stats(dataset: Dataset, groups, rows=None) -> GroupStats:
 
 
 def _validated_stats(dataset: Dataset, spec: GroupSpec) -> GroupStats:
-    """Validate the data and groups, then build their statistics."""
+    """Validate the data and groups, then build their statistics, once per
+    (Dataset, GroupSpec) pair.
+
+    Both types are immutable, so the spec keeps the statistics of the last
+    dataset it was called with, keyed by a weak reference to that dataset
+    object (an equal but distinct dataset or spec is validated and built
+    again), and every later call with the same pair returns them.  They go
+    with the spec, so a spec made for one call frees them when it is freed.
+    Their arrays are read-only, since every consumer shares them.  A pair
+    that fails validation raises on every call and is never stored.  The
+    entry is one tuple, replaced whole, so threads that miss together each
+    build and store a correct one.
+    """
+    memo = spec.__dict__.get("_stats_memo")
+    if memo is not None and memo[0]() is dataset:
+        return memo[1]
     validate(dataset, spec)
-    return _group_stats(dataset, spec.groups)
+    stats = _group_stats(dataset, spec.groups)
+    for a in (stats.grams, stats.crosses, stats.sizes):
+        a.setflags(write=False)
+    spec.__dict__["_stats_memo"] = (weakref.ref(dataset), stats)
+    return stats
 
 
 def _soft_threshold(z, t):
@@ -202,7 +223,7 @@ def _solve_weighted_l2(A, d, lam, kappa=None):
     if evals[0] <= 1e-12 * evals[-1]:
         dn = evecs.T @ d
         null = evals <= 1e-12 * evals[-1]
-        if np.linalg.norm(dn[null]) > 1e-10 * max(1.0, np.linalg.norm(d)):
+        if np.linalg.norm(dn[null]) > 1e-10 * np.linalg.norm(d):
             raise SolverError(
                 "weighted Gram matrix is singular along the response direction")
         # no signal in the null space: restrict to the positive eigenspace

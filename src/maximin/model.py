@@ -4,11 +4,19 @@ All types are immutable after construction and hold plain numpy arrays, so
 they can be shared freely across threads.  Group indices are stored 0-based
 in memory; file formats and documentation use 1-based indices, converted once
 at the I/O boundary.
+
+Because they are immutable, a :class:`GroupSpec` also holds the statistics
+of the last :class:`Dataset` it was fitted with: one ``GroupStats``, the
+same bytes each public fitting call would build, kept until the spec is
+freed or fitted with another dataset, so that every call on that pair
+validates and builds them once.  It is not a field: equality, ``repr``,
+copies and pickles leave it out.  Writing to a type's arrays after flipping
+their write flag is unsupported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -82,6 +90,10 @@ class GroupSpec:
         object.__setattr__(self, "groups", frozen)
         if self.replacement not in (PARTITION, WITH_REPLACEMENT):
             raise ValidationError(f"unknown replacement mode {self.replacement!r}")
+
+    def __getstate__(self):
+        # copies and pickles hold the fields only, not the statistics memo
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def n_groups(self) -> int:

@@ -7,9 +7,12 @@ best averaged worst-case score wins.  Ordered data are split into two arcs
 of the series read as a circle, each cut into consecutive blocks; unordered
 data use random blocks.
 
-Both searches run on block statistics (Gram matrix, cross-product, size):
-the data are validated once per call, every block's statistics are built
-once per split, and each fit and each hold-out score reads only them.
+Both searches run on block statistics (Gram matrix, cross-product, size),
+and each fit and each hold-out score reads only them.  The group-count
+search validates the data once per call and builds every block's statistics
+once per split; penalty selection validates and builds the full groups'
+statistics once per (Dataset, GroupSpec) pair, shared with every other fit
+on that pair, and builds only the hold-out groups itself.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import GroupStats, _dead_level, _fit_stats, _group_stats
+from .estimator import GroupStats, _dead_level, _fit_stats, _group_stats, _validated_stats
 from .exceptions import InvalidSize, TooFewObservations, ValidationError
 from .grouping import _block_edges, rng_from_seed, sample_groups
 from .model import (
@@ -196,8 +199,14 @@ def select_penalty(dataset: Dataset, spec: GroupSpec, lambda_grid, seed: int = 0
     Holds out a fraction of every group, fits on the retained observations
     and scores each penalty by the minimum hold-out explained variance over
     groups.  Ties break toward the larger (more conservative) penalty.
+
+    The full groups' statistics are those every fit on the same dataset and
+    spec shares (see :func:`estimator._validated_stats`); only the hold-out
+    groups are built here, and each training group's statistics follow as
+    (n_g S_g - k_g H_g) / (n_g - k_g) from its full (S_g, n_g) and hold-out
+    (H_g, k_g) ones.
     """
-    validate(dataset, spec)
+    full = _validated_stats(dataset, spec)
     grid = sorted(float(v) for v in lambda_grid)
     if not grid:
         raise ValidationError("lambda_grid must be nonempty")
@@ -206,20 +215,23 @@ def select_penalty(dataset: Dataset, spec: GroupSpec, lambda_grid, seed: int = 0
     base = config if config is not None else PenaltyConfig()
     rng = rng_from_seed(seed)
 
-    train_groups, hold_groups = [], []
+    hold_groups = []
     for idx in spec.groups:
         k = max(1, int(round(holdout_fraction * idx.shape[0])))
         if k >= idx.shape[0]:
             raise TooFewObservations(
                 "a group would lose all observations to the hold-out")
-        held = rng.choice(idx, size=k, replace=False)
-        train_groups.append(np.setdiff1d(idx, held))
-        hold_groups.append(np.sort(held))
+        hold_groups.append(np.sort(rng.choice(idx, size=k, replace=False)))
 
-    # the training and hold-out groups are nonempty subsets of validated
-    # groups, so their statistics are built once and shared by every level
-    stats = _group_stats(dataset, train_groups)
+    # the hold-out groups are nonempty subsets of validated groups, so their
+    # statistics and the training ones are built once and shared by every level
     hold = _group_stats(dataset, hold_groups)
+    n, k = full.sizes, hold.sizes
+    m = n - k
+    stats = GroupStats(
+        (n[:, None, None] * full.grams - k[:, None, None] * hold.grams) / m[:, None, None],
+        (n[:, None] * full.crosses - k[:, None] * hold.crosses) / m[:, None],
+        m, full.dead_level)
     best_lam, best_score = grid[-1], -np.inf
     for lam in grid:
         cfg = PenaltyConfig(q=base.q, mode=MODE_PENALIZED, lam=lam,

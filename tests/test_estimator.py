@@ -1,3 +1,9 @@
+import copy
+import pickle
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -22,7 +28,7 @@ from maximin import (
     sample_groups,
     update_weights,
 )
-from maximin import estimator
+from maximin import estimator, select
 from maximin.simulate import gen_figure2
 from gridoracle import enumerate_simplex_qp
 
@@ -208,6 +214,128 @@ class TestGroupStats:
                 ref = [emp_explained_variance(ds, idx, beta) for idx in spec.groups]
                 np.testing.assert_allclose(stats.values(beta), ref, rtol=1e-12,
                                            atol=1e-12)
+
+
+class TestStatsMemo:
+    """A GroupSpec keeps the validated statistics of the last Dataset object
+    it was called with, so the calls of a penalty path share one build."""
+
+    def _spy(self, monkeypatch):
+        counts = {"builds": 0, "validations": 0}
+        real_build, real_validate = estimator._group_stats, estimator.validate
+
+        def build(*a, **k):
+            counts["builds"] += 1
+            return real_build(*a, **k)
+
+        def check(*a):
+            counts["validations"] += 1
+            return real_validate(*a)
+
+        for module in (estimator, select):
+            monkeypatch.setattr(module, "_group_stats", build)
+            monkeypatch.setattr(module, "validate", check)
+        return counts
+
+    def _data(self, seed=50):
+        rng = np.random.default_rng(seed)
+        return two_group_data(rng, [1.0, 0.6, 0.0], [1.0, -0.6, 0.1], 150, noise=0.2)
+
+    def test_penalty_path_builds_twice_and_validates_once(self, monkeypatch):
+        counts = self._spy(monkeypatch)
+        ds, spec = self._data()
+        lam_top = lambda_max(ds, spec, "l1")
+        lam = select.select_penalty(ds, spec, [0.0, 0.1 * lam_top, lam_top], seed=0)
+        fit = fit_reweighted(ds, spec, PenaltyConfig(q="l1", lam=lam))
+        fit_reweighted(ds, spec, PenaltyConfig(q="l2", mode="constrained", kappa=1.0))
+        rescale(fit.beta, ds, spec)
+        # the full groups once, the hold-out groups of select_penalty once
+        assert counts == {"builds": 2, "validations": 1}
+
+    def test_equal_but_distinct_spec_or_dataset_rebuilds(self, monkeypatch):
+        counts = self._spy(monkeypatch)
+        ds, spec = self._data()
+        first = estimator._validated_stats(ds, spec)
+        assert estimator._validated_stats(ds, spec) is first
+        twin_spec = GroupSpec(groups=spec.groups, replacement=spec.replacement)
+        twin_data = Dataset(X=ds.X, Y=ds.Y)
+        for d, s in ((ds, twin_spec), (twin_data, spec)):
+            again = estimator._validated_stats(d, s)
+            assert again is not first
+            np.testing.assert_array_equal(again.grams, first.grams)
+        assert counts == {"builds": 3, "validations": 3}
+
+    def test_failed_validation_raises_every_time_and_stores_nothing(self, monkeypatch):
+        counts = self._spy(monkeypatch)
+        ds, _ = self._data()
+        bad = GroupSpec(groups=(np.arange(10), np.arange(295, 305)))
+        for _ in range(3):
+            with pytest.raises(ValidationError):
+                fit_reweighted(ds, bad, PenaltyConfig(q="l2"))
+            assert "_stats_memo" not in bad.__dict__
+        assert counts == {"builds": 0, "validations": 3}
+
+    def test_memo_is_bitwise_a_fresh_build_and_read_only(self):
+        ds, spec = self._data()
+        lambda_max(ds, spec)
+        memo = estimator._validated_stats(ds, spec)
+        fresh = estimator._group_stats(ds, spec.groups)
+        for name in ("grams", "crosses", "sizes"):
+            got, ref = getattr(memo, name), getattr(fresh, name)
+            assert got.tobytes() == ref.tobytes()
+            with pytest.raises(ValueError):
+                got[...] = 0.0
+        assert memo.dead_level == fresh.dead_level
+
+    def test_threads_sharing_a_spec_get_their_own_dataset_stats(self):
+        # threads alternate two datasets on one spec, so the memo is replaced
+        # under them; a concurrent miss may build twice but never mixes data
+        ds, spec = self._data()
+        datasets = (ds, Dataset(X=2.0 * ds.X, Y=ds.Y))
+        refs = [estimator._group_stats(d, spec.groups) for d in datasets]
+        wrong = []
+
+        def work(offset):
+            for i in range(40):
+                k = (i + offset) % 2
+                got = estimator._validated_stats(datasets[k], spec)
+                if got.grams.tobytes() != refs[k].grams.tobytes():
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_equality_repr_copies_and_pickles_ignore_the_memo(self):
+        ds, spec = self._data()
+        twins, before = (copy.copy(ds), copy.copy(spec)), (repr(ds), repr(spec))
+        fit_reweighted(ds, spec, PenaltyConfig(q="l2"))
+        assert "_stats_memo" in spec.__dict__
+        assert (ds, spec) == twins
+        assert (repr(ds), repr(spec)) == before == tuple(map(repr, twins))
+        fields = {"groups", "replacement"}
+        assert set(vars(ds)) == {"X", "Y", "time_ordered"}
+        assert set(vars(copy.copy(spec))) == set(vars(copy.deepcopy(spec))) == fields
+        # the memo holds a weak reference, which a pickle could not hold
+        assert set(vars(pickle.loads(pickle.dumps(spec)))) == fields
+
+    def test_memo_lives_with_the_spec_and_not_the_dataset(self):
+        ds, spec = self._data()
+        stats = weakref.ref(estimator._validated_stats(ds, spec))
+        data = weakref.ref(ds)
+        del ds
+        assert data() is None and stats() is not None
+        del spec
+        assert stats() is None
 
 
 class TestReweightedMultiGroup:
@@ -452,6 +580,15 @@ class TestUnitScale:
                 assert fit.group_V.max() > 0.0
                 with pytest.raises(AllGroupsNonpositive):
                     fit_reweighted(Dataset(X=X, Y=0.0 * Y), spec, cfg)
+
+    @pytest.mark.parametrize("k", [0, -30, -60])
+    def test_null_space_signal_raises_at_every_scale(self, k):
+        # signal along the null direction of the weighted Gram matrix is an
+        # error relative to |d|, so the verdict does not depend on units
+        A = np.diag([1.0, 0.0])
+        d = np.ldexp(np.array([1.0, 1e-3]), k)
+        with pytest.raises(SolverError):
+            estimator._solve_weighted_l2(A, d, 0.0)
 
     @pytest.mark.parametrize("a, b", [(-20, 0), (0, -30), (20, 20), (-30, -30), (30, 0)])
     def test_maximal_mode_scales_exactly(self, a, b):

@@ -7,6 +7,7 @@ from maximin import estimator, select
 from maximin import (
     AllGroupsNonpositive,
     Dataset,
+    GroupSpec,
     PenaltyConfig,
     SupportSet,
     TooFewObservations,
@@ -284,6 +285,39 @@ class TestSelectPenalty:
         ds, spec = self._grouped_data(rng, n_g=100)
         select_penalty(ds, spec, [0.0, 0.05, 0.2], seed=0)
         assert len(calls) == 1
+
+    def test_training_stats_match_a_direct_build(self, monkeypatch):
+        # training statistics are the full groups' minus the hold-out's;
+        # they agree with statistics built from the training rows themselves
+        rng = np.random.default_rng(12)
+        n, p = 700, 5
+        X = 3.0 + rng.standard_normal((n, p))
+        ds = Dataset(X=X, Y=X @ rng.standard_normal(p) + rng.standard_normal(n))
+        cuts = np.cumsum([13, 40, 97, 250])
+        spec = GroupSpec(groups=tuple(np.split(rng.permutation(n), cuts)))
+        seen = {}
+        real_build, real_fit = select._group_stats, select._fit_stats
+
+        def build(d, groups):
+            seen["hold"] = groups
+            return real_build(d, groups)
+
+        def fit(stats, cfg):
+            seen["train"] = stats
+            return real_fit(stats, cfg)
+
+        monkeypatch.setattr(select, "_group_stats", build)
+        monkeypatch.setattr(select, "_fit_stats", fit)
+        select_penalty(ds, spec, [0.0, 0.1], seed=3, holdout_fraction=0.3)
+        train_groups = [np.setdiff1d(idx, held)
+                        for idx, held in zip(spec.groups, seen["hold"])]
+        ref = estimator._group_stats(ds, train_groups)
+        got = seen["train"]
+        np.testing.assert_array_equal(got.sizes, ref.sizes)
+        assert got.dead_level == ref.dead_level
+        for g in range(spec.n_groups):
+            for a, b in ((got.grams[g], ref.grams[g]), (got.crosses[g], ref.crosses[g])):
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_unpenalized_dead_fit_still_raises(self):
         rng = np.random.default_rng(11)
