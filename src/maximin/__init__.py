@@ -55,13 +55,11 @@ from .oracle import (
     pred_maximin_effect,
 )
 from .estimator import (
-    WeightState,
     fit_maximal_penalty,
     fit_reweighted,
     fit_with_config,
     lambda_max,
     rescale,
-    update_weights,
 )
 from .grouping import (
     consecutive_blocks,

@@ -54,44 +54,17 @@ WEIGHT_FLOOR_SCALE = 1e-6
 _MAX_SWEEPS = 20_000     # coordinate-descent sweeps per weighted step
 
 
-@dataclass(frozen=True)
-class WeightState:
-    """Per-observation weights, constant within groups, summing to one."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
-
-
 def _group_mass(group_V, zeta, floor, sizes):
-    """Normalized per-group weight mass n_g * v_g^(zeta-1) / sum."""
-    v = np.maximum(np.asarray(group_V, dtype=np.float64), floor)
-    raw = sizes * np.power(v, zeta - 1.0)
-    return raw / raw.sum()
-
-
-def update_weights(group_V, zeta: float, floor: float, group_sizes=None) -> WeightState:
-    """Weight update of the outer loop.
+    """Weight mass of each group in the outer loop: n_g * v_g^(zeta-1),
+    normalized to sum to one.
 
     Group values are clamped below at ``floor`` before exponentiation, so
     groups whose fit currently explains nothing (or worse) receive the
-    largest weight without dividing by zero.  The returned per-observation
-    weights are constant within each group and normalized to sum to one.
+    largest weight without dividing by zero.
     """
-    group_V = np.asarray(group_V, dtype=np.float64)
-    if not (0.0 < zeta < 1.0):
-        raise ValidationError("zeta must lie strictly inside (0, 1)")
-    if floor <= 0.0:
-        raise ValidationError("floor must be positive")
-    if group_sizes is None:
-        sizes = np.ones(group_V.shape[0])
-    else:
-        sizes = np.asarray(group_sizes, dtype=np.float64)
-    mass = _group_mass(group_V, zeta, floor, sizes)
-    return WeightState(w=np.repeat(mass / sizes, sizes.astype(np.int64)))
+    v = np.maximum(np.asarray(group_V, dtype=np.float64), floor)
+    raw = sizes * np.power(v, zeta - 1.0)
+    return raw / raw.sum()
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,8 +5,11 @@ the conversion happening exactly once here.  Fit artifacts are canonical
 JSON: sorted keys and 17-significant-digit reals, so identical fits produce
 byte-identical files and round-trips restore bit-equal values.  Series are
 CSV with columns (t, cumsum).  CSV is RFC-4180-style, UTF-8, '.' decimal.
-A file that cannot be opened, written, decoded as UTF-8 or split into CSV
-cells raises :class:`IoError`.
+Data tables and bare matrices share one reader, :func:`_read_table`: blank
+lines are skipped, cells are numbers as ``float()`` reads them, a ragged
+row is named by its row and a cell that is not a number by its row and
+column.  A file that cannot be opened, written, decoded as UTF-8 or split
+into CSV cells raises :class:`IoError`.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ def write_series(report: SeriesReport, path) -> None:
 
 def read_series(path) -> np.ndarray:
     with _file_errors(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = [r for r in csv.reader(fh) if r]
     return np.array([float(r[1]) for r in rows[1:]], dtype=np.float64)
 
 
@@ -165,21 +168,16 @@ def read_csv(path, has_header: bool = True, y_column: str = "y",
     biased variance.  Blank lines are skipped; cells are numbers as Python's
     ``float()`` reads them.
     """
-    with _file_errors(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        # a table with a group column (text labels) is read cell by cell
-        parsed = None
-        if group_column is None:
-            parsed = _parse_table(fh, path, has_header, y_column)
-        if parsed is None:
-            fh.seek(0)
-            parsed = _parse_cells(fh, path, has_header, y_column, group_column)
-    header, x_pos, X, Y, labels = parsed
+    names, cells, labels = _read_table(
+        path, has_header,
+        lambda header: _columns(path, header, y_column, group_column))
+    X, Y = cells[:, :-1], cells[:, -1]
 
     if standardize:
         X = X - X.mean(axis=0)
         sd = np.sqrt((X * X).mean(axis=0))
         if np.any(sd == 0.0):
-            dead = [header[x_pos[k]] for k in np.where(sd == 0.0)[0]]
+            dead = [names[k] for k in np.where(sd == 0.0)[0]]
             raise ValidationError(f"constant predictor column(s): {dead}")
         X = X / sd
 
@@ -188,9 +186,14 @@ def read_csv(path, has_header: bool = True, y_column: str = "y",
     return dataset, spec
 
 
+def read_matrix_csv(path) -> np.ndarray:
+    """A bare numeric matrix, no header, read by :func:`read_csv`'s rules."""
+    return _read_table(path, False, lambda header: (list(range(len(header))), None))[1]
+
+
 def _columns(path, header, y_column, group_column):
-    """Positions of the response, the group column (or None) and the
-    predictors in ``header``."""
+    """The predictor positions followed by the response's, and the group
+    column's position (or None), in ``header``."""
     if y_column not in header:
         raise MissingColumn(f"{path}: no column named {y_column!r}")
     y_pos = header.index(y_column)
@@ -204,7 +207,24 @@ def _columns(path, header, y_column, group_column):
     x_pos = [j for j in range(len(header)) if j != y_pos and j != group_pos]
     if not x_pos:
         raise MissingColumn(f"{path}: no predictor columns remain")
-    return y_pos, group_pos, x_pos
+    return x_pos + [y_pos], group_pos
+
+
+def _read_table(path, has_header, columns):
+    """The number columns and the text column of a CSV table.
+
+    ``columns(header)`` gives the number columns' positions, in the order
+    a row's cells are checked, and the text column's or None; without a
+    header, columns are named "1", "2", ... by position.  Returns the
+    number columns' names, their cells as an (n, k) array in that order,
+    and the text column's cells or None.
+    """
+    with _file_errors(path), open(path, "r", encoding="utf-8", newline="") as fh:
+        parsed = _parse_table(fh, has_header, columns)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _parse_cells(fh, path, has_header, columns)
+    return parsed
 
 
 def _skip_blank_lines(fh) -> bool:
@@ -220,50 +240,56 @@ def _skip_blank_lines(fh) -> bool:
             return True
 
 
-def _parse_table(fh, path, has_header, y_column):
-    """Read a table without a group column with numpy's C parser.
+def _parse_table(fh, has_header, columns):
+    """Read a table without a text column with numpy's C parser.
 
-    Returns None when the parser rejects the file, or a row is not as wide
-    as the header, or there is no data row: the cell-by-cell reader then
-    raises the error that names the faulty row and column, or reads the
-    numbers only Python's ``float()`` accepts (``1_0``, non-ASCII digits).
+    Returns None when ``columns`` rejects the header or names a text
+    column, when the parser rejects the file, when a row is not as wide as
+    the first, or when there is no data row: the cell-by-cell reader then
+    raises the error that names the faulty row and column (checking row
+    widths before the header), reads the text column, or reads the numbers
+    only Python's ``float()`` accepts (``1_0``, non-ASCII digits).
     """
-    header = None
-    if has_header:
-        lines = csv.reader(iter(fh.readline, ""))
-        header = next((row for row in lines if row), None)
-        if header is None:
-            return None
-        header = [h.strip() for h in header]
     if not _skip_blank_lines(fh):
+        return None
+    start = fh.tell()
+    header = _header(next(csv.reader(iter(fh.readline, ""))), has_header)
+    if not has_header:
+        fh.seek(start)
+    elif not _skip_blank_lines(fh):
+        return None
+    try:
+        number, text = columns(header)
+    except ValidationError:  # raised again after the row widths are checked
+        return None
+    if text is not None:
         return None
     try:
         cells = np.loadtxt(fh, **_LOADTXT)
     except ValueError:
         return None
-    if header is None:
-        header = [str(i + 1) for i in range(cells.shape[1])]
     if cells.shape[1] != len(header):
         return None
-    y_pos, _, x_pos = _columns(path, header, y_column, None)
-    return header, x_pos, cells[:, x_pos], cells[:, y_pos], None
+    return [header[j] for j in number], cells[:, number], None
 
 
-def _parse_cells(fh, path, has_header, y_column, group_column):
+def _header(first, has_header):
+    """Column names: the first row's cells stripped, or "1", "2", ..."""
+    if has_header:
+        return [h.strip() for h in first]
+    return [str(i + 1) for i in range(len(first))]
+
+
+def _parse_cells(fh, path, has_header, columns):
     """Read the table cell by cell with ``float()``, raising on the first
     fault in row order."""
     rows = [r for r in csv.reader(fh) if r]
     if not rows:
         raise RaggedRows(f"{path}: empty table")
 
-    if has_header:
-        header = [h.strip() for h in rows[0]]
-        data_rows = rows[1:]
-        first_line = 2
-    else:
-        header = [str(i + 1) for i in range(len(rows[0]))]
-        data_rows = rows
-        first_line = 1
+    header = _header(rows[0], has_header)
+    first_line = 2 if has_header else 1
+    data_rows = rows[first_line - 1:]
     if not data_rows:
         raise RaggedRows(f"{path}: no data rows")
 
@@ -273,26 +299,17 @@ def _parse_cells(fh, path, has_header, y_column, group_column):
             raise RaggedRows(
                 f"{path}: row {first_line + offset} has {len(row)} cells, expected {width}")
 
-    y_pos, group_pos, x_pos = _columns(path, header, y_column, group_column)
-    n = len(data_rows)
-    X = np.empty((n, len(x_pos)))
-    Y = np.empty(n)
-    labels = [] if group_pos is not None else None
+    number, text = columns(header)
+    cells = np.empty((len(data_rows), len(number)))
     for i, row in enumerate(data_rows):
-        for k, j in enumerate(x_pos):
+        for k, j in enumerate(number):
             try:
-                X[i, k] = float(row[j])
+                cells[i, k] = float(row[j])
             except ValueError:
                 raise ParseError(first_line + i, j + 1,
                                  f"not a number: {row[j]!r}") from None
-        try:
-            Y[i] = float(row[y_pos])
-        except ValueError:
-            raise ParseError(first_line + i, y_pos + 1,
-                             f"not a number: {row[y_pos]!r}") from None
-        if labels is not None:
-            labels.append(row[group_pos])
-    return header, x_pos, X, Y, np.array(labels) if labels is not None else None
+    labels = None if text is None else np.array([row[text] for row in data_rows])
+    return [header[j] for j in number], cells, labels
 
 
 def _csv_cell(text: str) -> str:
@@ -345,22 +362,3 @@ def read_support(path, sigma=None) -> SupportSet:
     except (TypeError, ValueError) as exc:
         raise IoError(f"{path}: malformed support ({exc})") from exc
     return SupportSet(points=points, sigma=sigma)
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    """A bare numeric matrix, no header."""
-    with _file_errors(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise RaggedRows(f"{path}: empty matrix")
-    width = len(rows[0])
-    out = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise RaggedRows(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
-            try:
-                out[i, j] = float(cell)
-            except ValueError:
-                raise ParseError(i + 1, j + 1, f"not a number: {cell!r}") from None
-    return out

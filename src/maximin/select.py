@@ -18,7 +18,7 @@ on that pair, and builds only the hold-out groups itself.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -234,9 +234,7 @@ def select_penalty(dataset: Dataset, spec: GroupSpec, lambda_grid, seed: int = 0
         m, full.dead_level)
     best_lam, best_score = grid[-1], -np.inf
     for lam in grid:
-        cfg = PenaltyConfig(q=base.q, mode=MODE_PENALIZED, lam=lam,
-                            zeta=base.zeta, max_iter=base.max_iter, tol=base.tol)
-        fit = _fit_stats(stats, cfg)
+        fit = _fit_stats(stats, replace(base, mode=MODE_PENALIZED, lam=lam))
         score = float(hold.values(fit.beta).min())
         if score >= best_score:
             best_lam, best_score = lam, score

@@ -36,8 +36,8 @@ from maximin import (
     pop_residual_variance,
     rng_from_seed,
     sample_groups,
-    update_weights,
 )
+from maximin import estimator
 from gridoracle import grid_hull_min, origin_in_hull, random_support, sigma_norm
 
 L1MAX = PenaltyConfig(q="l1", mode="maximal")
@@ -468,12 +468,12 @@ class TestCriterion8Properties:
 
             v = rng.uniform(-1.0, 3.0, size=int(rng.integers(1, 6)))
             zeta = float(rng.uniform(0.01, 0.99))
-            ws = update_weights(v, zeta, 1e-6)
-            assert ws.w.sum() == pytest.approx(1.0)
-            assert np.all(ws.w > 0.0)
+            w = estimator._group_mass(v, zeta, 1e-6, np.ones(v.size))
+            assert w.sum() == pytest.approx(1.0)
+            assert np.all(w > 0.0)
             # worst group never gets less weight than a better one
             order = np.argsort(np.maximum(v, 1e-6))
-            w_sorted = ws.w[order]
+            w_sorted = w[order]
             assert np.all(np.diff(w_sorted) <= 1e-12)
         report("criterion 8j (grouping and weight properties, 1000 cases)",
                time.time() - t0)

@@ -326,6 +326,11 @@ class TestSeriesArtifacts:
         assert lines[1].startswith("1,")
         np.testing.assert_array_equal(read_series(f), [1.0, 0.0, 2.0])
 
+    def test_blank_lines_skipped(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_bytes(b"t,cumsum\r\n1,2\r\n\r\n2,0.5\r\n\r\n")
+        np.testing.assert_array_equal(read_series(f), [2.0, 0.5])
+
     def test_exact_bytes(self, tmp_path):
         f = tmp_path / "s.csv"
         write_series(SeriesReport(cumsum=np.array([1.0, 1.0 / 3.0, -2e-5]),
@@ -399,6 +404,12 @@ class TestCliSurface:
         assert r.returncode == 0, r.stderr
         beta = np.array(json.loads(r.stdout)["beta"])
         np.testing.assert_allclose(beta, [1.0, -0.5], atol=1e-7)
+        # the same matrix with blank lines and quoted cells
+        (tmp_path / "sigma.csv").write_text('\n"1.0",0.5\r\n\r\n0.5,"1.0"\r\n\n')
+        r = run_cli("oracle", "--support", "support.json",
+                    "--sigma", "sigma.csv", "--which", "maximin", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert np.array(json.loads(r.stdout)["beta"]).tobytes() == beta.tobytes()
 
     def test_oracle_pred_maximin_at_large_scale(self, tmp_path):
         # gradient rounding at this scale is above an absolute 1e-9 gap
@@ -576,6 +587,19 @@ class TestCliSurface:
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("error:"), r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("text,fault", [
+        ("1.0,0.5\n0.5,x\n", "row 2, column 2: not a number: 'x'"),
+        ("1.0,0.5\n0.5\n", "row 2 has 1 cells, expected 2"),
+    ])
+    def test_oracle_bad_sigma_exits_2(self, tmp_path, capsys, text, fault):
+        (tmp_path / "s.json").write_text('{"points": [[1.0, -4.0], [1.0, 6.0]]}')
+        (tmp_path / "sigma.csv").write_text(text)
+        code = cli_main(["oracle", "--support", str(tmp_path / "s.json"),
+                         "--sigma", str(tmp_path / "sigma.csv"), "--which", "maximin"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fault in err, err
 
     def test_exit_code_solver_error(self, tmp_path):
         # opposed single-predictor signals make the maximal-penalty program

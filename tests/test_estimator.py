@@ -26,7 +26,6 @@ from maximin import (
     maximin_effect,
     rescale,
     sample_groups,
-    update_weights,
 )
 from maximin import estimator, select
 from maximin.simulate import gen_figure2
@@ -56,34 +55,34 @@ def two_group_data(rng, b1, b2, n_g, noise=0.0, exact=False):
 
 
 class TestUpdateWeights:
+    """The outer loop's weight update, ``estimator._group_mass``."""
+
+    def mass(self, v, zeta, sizes=None):
+        sizes = np.ones(len(v)) if sizes is None else np.asarray(sizes, dtype=np.float64)
+        return estimator._group_mass(np.array(v), zeta, 1e-6, sizes)
+
     def test_equal_variances_give_uniform_weights(self):
         for zeta in (0.01, 0.3, 0.9):
-            ws = update_weights([1.0, 1.0], zeta, 1e-6)
-            np.testing.assert_allclose(ws.w, [0.5, 0.5])
+            np.testing.assert_allclose(self.mass([1.0, 1.0], zeta), [0.5, 0.5])
 
     def test_power_formula(self):
-        ws = update_weights([1.0, 4.0], 0.01, 1e-6)
+        m = self.mass([1.0, 4.0], 0.01)
         expected_ratio = 1.0 / 4.0 ** (0.01 - 1.0)   # = 4^0.99
-        assert ws.w[0] / ws.w[1] == pytest.approx(expected_ratio)
-        assert ws.w[1] / ws.w[0] == pytest.approx(0.25356, abs=1e-4)
+        assert m[0] / m[1] == pytest.approx(expected_ratio)
+        assert m[1] / m[0] == pytest.approx(0.25356, abs=1e-4)
 
     def test_clamped_group_dominates(self):
-        ws = update_weights([-0.5, 1.0], 0.01, 1e-6)
-        assert ws.w[0] / ws.w[1] == pytest.approx((1e-6) ** (-0.99), rel=1e-9)
+        m = self.mass([-0.5, 1.0], 0.01)
+        assert m[0] / m[1] == pytest.approx((1e-6) ** (-0.99), rel=1e-9)
 
     def test_normalized_over_observations(self):
-        ws = update_weights([0.5, 2.0, 1.0], 0.2, 1e-6, group_sizes=[3, 5, 2])
-        assert ws.w.shape == (10,)
-        assert ws.w.sum() == pytest.approx(1.0)
-        # constant within groups
-        assert len(set(np.round(ws.w[:3], 15))) == 1
-        assert len(set(np.round(ws.w[3:8], 15))) == 1
-
-    def test_domain(self):
-        with pytest.raises(ValidationError):
-            update_weights([1.0], 1.5, 1e-6)
-        with pytest.raises(ValidationError):
-            update_weights([1.0], 0.5, 0.0)
+        # each group's mass is n_g v_g^(zeta-1), so an observation's share
+        # mass / n_g is v_g^(zeta-1) up to one normalizing factor
+        v, sizes = np.array([0.5, 2.0, 1.0]), np.array([3.0, 5.0, 2.0])
+        m = self.mass(v, 0.2, sizes)
+        assert m.sum() == pytest.approx(1.0)
+        np.testing.assert_allclose(m / sizes / v ** (0.2 - 1.0),
+                                   m[0] / sizes[0] / v[0] ** (0.2 - 1.0), rtol=1e-12)
 
 
 class TestSingleGroup:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -318,6 +319,18 @@ class TestSelectPenalty:
         for g in range(spec.n_groups):
             for a, b in ((got.grams[g], ref.grams[g]), (got.crosses[g], ref.crosses[g])):
                 assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_levels_carry_every_config_field(self, monkeypatch):
+        # each level's config is the caller's with only the mode and lam set
+        base = PenaltyConfig(q="l2", mode="constrained", kappa=0.7, zeta=0.2,
+                             max_iter=7, tol=1e-5)
+        seen, real_fit = [], select._fit_stats
+        monkeypatch.setattr(select, "_fit_stats",
+                            lambda stats, cfg: seen.append(cfg) or real_fit(stats, cfg))
+        rng = np.random.default_rng(13)
+        ds, spec = self._grouped_data(rng, n_g=100)
+        select_penalty(ds, spec, [0.2, 0.0], seed=0, config=base)
+        assert seen == [replace(base, mode="penalized", lam=lam) for lam in (0.0, 0.2)]
 
     def test_unpenalized_dead_fit_still_raises(self):
         rng = np.random.default_rng(11)
