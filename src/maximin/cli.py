@@ -170,7 +170,7 @@ def _cmd_cv_groups(args) -> int:
                            zeta=args.zeta)
     result = cv_group_count(dataset, candidates, splits=args.splits,
                             g_test=args.g_test, config=config, seed=args.seed,
-                            min_block=args.min_block, n_jobs=args.threads)
+                            min_block=args.min_block)
     print("G,score,stderr")
     for G, s, se in zip(result.candidates, result.scores, result.std_errors):
         print(f"{G},{s:.6g},{se:.6g}")
@@ -259,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--zeta", type=float, default=0.01)
     cv.add_argument("--time-ordered", action="store_true")
     cv.add_argument("--seed", type=int, default=0)
-    # the per-split work holds the GIL, so more threads are not faster
-    cv.add_argument("--threads", type=int, default=1)
     cv.set_defaults(func=_cmd_cv_groups)
 
     ev = sub.add_parser("evaluate", help="score a stored fit on a dataset")

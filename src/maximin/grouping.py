@@ -33,11 +33,13 @@ def groups_from_labels(labels) -> GroupSpec:
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValidationError("labels must be a vector")
-    _, first_pos, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    order = np.argsort(first_pos, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    groups = tuple(np.where(rank[inverse] == g)[0] for g in range(order.size))
+    _, first_pos, inverse, counts = np.unique(
+        labels, return_index=True, return_inverse=True, return_counts=True)
+    # a stable sort on each observation's first appearance lists the groups in
+    # that order, each with its indices ascending
+    members = np.argsort(first_pos[inverse], kind="stable")
+    ends = np.cumsum(counts[np.argsort(first_pos)])
+    groups = tuple(np.split(members, ends)[:-1])
     return GroupSpec(groups=groups, replacement=PARTITION)
 
 

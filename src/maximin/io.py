@@ -282,33 +282,35 @@ def _header(first, has_header):
 
 def _parse_cells(fh, path, has_header, columns):
     """Read the table cell by cell with ``float()``, raising on the first
-    fault in row order."""
-    rows = [r for r in csv.reader(fh) if r]
+    fault in row order.  A fault names the file line its row starts on."""
+    reader = csv.reader(fh)
+    rows, start = [], 1  # (first file line, cells) of every nonblank record
+    for record in reader:
+        if record:
+            rows.append((start, record))
+        start = reader.line_num + 1
     if not rows:
         raise RaggedRows(f"{path}: empty table")
 
-    header = _header(rows[0], has_header)
-    first_line = 2 if has_header else 1
-    data_rows = rows[first_line - 1:]
+    header = _header(rows[0][1], has_header)
+    data_rows = rows[1:] if has_header else rows
     if not data_rows:
         raise RaggedRows(f"{path}: no data rows")
 
     width = len(header)
-    for offset, row in enumerate(data_rows):
+    for line, row in data_rows:
         if len(row) != width:
-            raise RaggedRows(
-                f"{path}: row {first_line + offset} has {len(row)} cells, expected {width}")
+            raise RaggedRows(f"{path}: row {line} has {len(row)} cells, expected {width}")
 
     number, text = columns(header)
     cells = np.empty((len(data_rows), len(number)))
-    for i, row in enumerate(data_rows):
+    for i, (line, row) in enumerate(data_rows):
         for k, j in enumerate(number):
             try:
                 cells[i, k] = float(row[j])
             except ValueError:
-                raise ParseError(first_line + i, j + 1,
-                                 f"not a number: {row[j]!r}") from None
-    labels = None if text is None else np.array([row[text] for row in data_rows])
+                raise ParseError(line, j + 1, f"not a number: {row[j]!r}") from None
+    labels = None if text is None else np.array([row[text] for _, row in data_rows])
     return [header[j] for j in number], cells, labels
 
 

@@ -9,15 +9,15 @@ data use random blocks.
 
 Both searches run on block statistics (Gram matrix, cross-product, size),
 and each fit and each hold-out score reads only them.  The group-count
-search validates the data once per call and builds every block's statistics
-once per split; penalty selection validates and builds the full groups'
-statistics once per (Dataset, GroupSpec) pair, shared with every other fit
-on that pair, and builds only the hold-out groups itself.
+search validates the data once per call, runs the splits one after another
+on the calling thread and builds every block's statistics once per split;
+penalty selection validates and builds the full groups' statistics once per
+(Dataset, GroupSpec) pair, shared with every other fit on that pair, and
+builds only the hold-out groups itself.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,8 +61,9 @@ def _halves(n: int, time_ordered: bool, rng) -> tuple[np.ndarray, np.ndarray]:
     half = n // 2
     if time_ordered:
         cut = int(rng.integers(0, n))
-        rolled = np.roll(np.arange(n), -cut)
-        return np.sort(rolled[:half]), np.sort(rolled[half:])
+        idx = np.arange(n)
+        first = (idx - cut) % n < half
+        return idx[first], idx[~first]
     perm = rng.permutation(n)
     return perm[:half], perm[half:]
 
@@ -129,6 +130,10 @@ def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
     once, each candidate is fitted on its training blocks' statistics, and
     each test block is scored as 2c'beta - beta'S beta from its own
     statistics.
+
+    The splits run one after another on the calling thread.  ``n_jobs`` is
+    ignored, kept only for callers that still pass it: the per-split work
+    holds the interpreter lock, so a thread pool was slower than one thread.
     """
     validate(dataset)
     candidates = tuple(int(g) for g in candidates)
@@ -152,14 +157,11 @@ def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
             f"candidate G={max(candidates)} exceeds the half-sample size {half}")
 
     rng = rng_from_seed(seed)
-    split_plans = []
-    for _ in range(splits):
+    table = np.empty((splits, len(candidates)))
+    for row in table:
         train_idx, test_idx = _halves(n, dataset.time_ordered, rng)
+        # unused on ordered data, but drawn there too: the next cut point follows it
         block_seed = int(rng.integers(0, 2**63 - 1))
-        split_plans.append((train_idx, test_idx, block_seed))
-
-    def run_split(plan):
-        train_idx, test_idx, block_seed = plan
         if dataset.time_ordered:
             test = _ordered_stats(dataset, test_idx, [g_test])[0]
             train_stats = _ordered_stats(dataset, train_idx, candidates)
@@ -168,17 +170,8 @@ def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
             test = _random_stats(dataset, test_idx, g_test, block_rng)
             train_stats = [_random_stats(dataset, train_idx, G, block_rng)
                            for G in candidates]
-        row = np.empty(len(candidates))
         for k, stats in enumerate(train_stats):
             row[k] = test.values(_fit_stats(stats, config).coefficients).min()
-        return row
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            rows = list(pool.map(run_split, split_plans))
-    else:
-        rows = [run_split(plan) for plan in split_plans]
-    table = np.vstack(rows)
 
     scores = table.mean(axis=0)
     ses = table.std(axis=0, ddof=1) / np.sqrt(splits) if splits > 1 else \

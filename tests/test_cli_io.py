@@ -72,10 +72,19 @@ class TestReadCsv:
 
     def test_parse_error_names_row_and_col(self, tmp_path):
         f = tmp_path / "d.csv"
-        f.write_text("y,x1\n1,2\n3,oops\n")
-        with pytest.raises(ParseError) as e:
-            read_csv(f)
-        assert e.value.row == 3 and e.value.col == 2
+        for text, row in [
+            ("y,x1\n1,2\n3,oops\n", 3),
+            # the row is the file line, counting blank lines
+            ("y,x1\n\n1,2\n\n3,oops\n", 5),
+            # and every line of a quoted cell that spans two
+            ('y,x1\n"1\n",2\n3,oops\n', 4),
+            # a bad cell that spans two lines is named by its row's first line
+            ('y,x1\n1,2\n3,"oo\nps"\n', 3),
+        ]:
+            f.write_text(text)
+            with pytest.raises(ParseError) as e:
+                read_csv(f)
+            assert (e.value.row, e.value.col) == (row, 2), text
 
     def test_ragged_rows(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -188,9 +197,14 @@ class TestReadCsv:
 
     def test_ragged_rows_names_the_row(self, tmp_path):
         f = tmp_path / "d.csv"
-        f.write_text("y,x1,x2\n1,2,3\n4,5,6\n7,8\n")
-        with pytest.raises(RaggedRows, match="row 4 has 2 cells, expected 3"):
-            read_csv(f)
+        for text, row in [
+            ("y,x1,x2\n1,2,3\n4,5,6\n7,8\n", 4),
+            ("y,x1,x2\n\n1,2,3\n\n4,5,6\n7,8\n", 6),
+            ('y,x1,x2\n1,"2\n",3\n4,5,6\n7,8\n', 5),
+        ]:
+            f.write_text(text)
+            with pytest.raises(RaggedRows, match=f"row {row} has 2 cells, expected 3"):
+                read_csv(f)
 
     def test_ragged_rows_before_missing_column(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -578,6 +592,14 @@ class TestCliSurface:
         assert r.stderr.startswith("error:"), r.stderr
         assert "Traceback" not in r.stderr
         assert "G=0" in r.stderr
+
+    def test_cv_groups_threads_flag_is_gone(self, tmp_path, capsys):
+        # the splits run serially; an old command line gets the usage error
+        with pytest.raises(SystemExit) as e:
+            cli_main(["cv-groups", "--data", str(tmp_path / "data.csv"),
+                      "--threads", "2"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("points", ["[[]]", "[]"])
     def test_oracle_support_without_coordinates_exits_2(self, tmp_path, points):

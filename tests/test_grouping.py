@@ -37,6 +37,19 @@ class TestGroupsFromLabels:
         spec = groups_from_labels(np.array(["a", "a", "b"]))
         assert [list(g) for g in spec.groups] == [[0, 1], [2]]
 
+    @settings(max_examples=300, deadline=None)
+    @given(codes=st.lists(st.integers(0, 9), max_size=200),
+           as_text=st.booleans())
+    def test_matches_brute_force(self, codes, as_text):
+        labels = np.array([f"g{c}" for c in codes] if as_text else codes)
+        firsts = list(dict.fromkeys(labels.tolist()))
+        spec = groups_from_labels(labels)
+        assert len(spec.groups) == len(firsts)
+        for idx, value in zip(spec.groups, firsts):
+            expected = np.flatnonzero(labels == value)
+            assert idx.dtype == expected.dtype
+            np.testing.assert_array_equal(idx, expected)
+
 
 class TestConsecutiveBlocks:
     def test_even_split(self):

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -168,6 +169,18 @@ class TestCvOnStatistics:
         assert one.chosen == two.chosen
         np.testing.assert_array_equal(one.scores, two.scores)
         np.testing.assert_array_equal(one.std_errors, two.std_errors)
+
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_splits_run_on_the_calling_thread(self, monkeypatch, ordered):
+        threads = []
+        real = select._fit_stats
+        monkeypatch.setattr(select, "_fit_stats", lambda *a, **k: threads.append(
+            threading.get_ident()) or real(*a, **k))
+        ds = shifted(np.random.default_rng(12), ordered=ordered)
+        cv_group_count(ds, [2, 3, 6], splits=4, g_test=3,
+                       config=PenaltyConfig(mode="maximal"), seed=4, min_block=50,
+                       n_jobs=2)
+        assert threads == [threading.get_ident()] * 12
 
     @pytest.mark.parametrize("ordered", [True, False])
     def test_validates_once(self, monkeypatch, ordered):
