@@ -147,7 +147,7 @@ def _cmd_fit(args) -> int:
     spec = _parse_groups(args.groups, dataset, label_spec, args.seed)
     mode, lam, kappa = _parse_mode(args.mode)
     config = PenaltyConfig(q=args.penalty, mode=mode, lam=lam, kappa=kappa,
-                           zeta=args.zeta, max_iter=args.max_iter, tol=args.tol)
+                           max_iter=args.max_iter, tol=args.tol)
     fit = fit_with_config(dataset, spec, config)
     io.write_fit(fit, args.out, groups=spec)
     print(f"fit written to {args.out} "
@@ -166,8 +166,7 @@ def _cmd_cv_groups(args) -> int:
         raise ValidationError(
             f"--candidates needs comma-separated integers, got {args.candidates!r}") from None
     mode, lam, kappa = _parse_mode(args.mode)
-    config = PenaltyConfig(q=args.penalty, mode=mode, lam=lam, kappa=kappa,
-                           zeta=args.zeta)
+    config = PenaltyConfig(q=args.penalty, mode=mode, lam=lam, kappa=kappa)
     result = cv_group_count(dataset, candidates, splits=args.splits,
                             g_test=args.g_test, config=config, seed=args.seed,
                             min_block=args.min_block)
@@ -217,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="maximin",
         description="Worst-group (maximin) effects estimation for inhomogeneous data")
     sub = parser.add_subparsers(dest="command", required=True)
+    default = PenaltyConfig()
 
     sim = sub.add_parser("simulate", help="generate a synthetic scenario")
     sim.add_argument("--scenario", required=True,
@@ -236,12 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--y-col", default="y")
     fit.add_argument("--groups", required=True,
                      help="labels:<col> | blocks:<G> | random:<G>,<m>[,replacement]")
-    fit.add_argument("--penalty", choices=["l1", "l2"], default="l1")
+    fit.add_argument("--penalty", choices=["l1", "l2"], default=default.q)
     fit.add_argument("--mode", default="lambda:0",
                      help="lambda:<v> | kappa:<v> | maximal")
-    fit.add_argument("--zeta", type=float, default=0.01)
-    fit.add_argument("--max-iter", type=int, default=50)
-    fit.add_argument("--tol", type=float, default=1e-6)
+    fit.add_argument("--max-iter", type=int, default=default.max_iter)
+    fit.add_argument("--tol", type=float, default=default.tol)
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--standardize", action="store_true")
     fit.add_argument("--out", required=True)
@@ -254,9 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--splits", type=int, default=DEFAULT_SPLITS)
     cv.add_argument("--g-test", type=int, default=DEFAULT_G_TEST)
     cv.add_argument("--min-block", type=int, default=DEFAULT_MIN_BLOCK)
-    cv.add_argument("--penalty", choices=["l1", "l2"], default="l1")
+    cv.add_argument("--penalty", choices=["l1", "l2"], default=default.q)
     cv.add_argument("--mode", default="maximal")
-    cv.add_argument("--zeta", type=float, default=0.01)
     cv.add_argument("--time-ordered", action="store_true")
     cv.add_argument("--seed", type=int, default=0)
     cv.set_defaults(func=_cmd_cv_groups)

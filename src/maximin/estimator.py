@@ -51,6 +51,10 @@ from .model import (
 from .oracle import DEFAULT_MAX_ITER, _simplex_qp
 
 WEIGHT_FLOOR_SCALE = 1e-6
+# exponent of the power mean that the reweighting loop maximizes: the mean
+# grows with its exponent, so a smaller one lies nearer the worst group, but
+# no exponent in (0, 1) reaches it
+_ZETA = 0.01
 _MAX_SWEEPS = 20_000     # coordinate-descent sweeps per weighted step
 
 
@@ -337,15 +341,14 @@ def _fit_at_lambda(stats: GroupStats, config: PenaltyConfig, lam: float) -> Maxi
         # and even on the positive region the full linearized step
         # overshoots, so the loop would otherwise creep or oscillate
         if iterations > 1:
-            floor = WEIGHT_FLOOR_SCALE * max(1.0, float(group_V.max()))
-            step = _line_search_step(group_V, slope, curv, sizes,
-                                     config.zeta, floor)
+            # floor was set from this group_V at the end of the last round
+            step = _line_search_step(group_V, slope, curv, sizes, _ZETA, floor)
             cand = beta + step * direction
 
         V_new = group_V + step * slope - step * step * curv
         delta = float(np.abs(V_new - group_V).max())
         beta, group_V = cand, V_new
-        path.append(_log_power_merit(group_V, sizes, config.zeta))
+        path.append(_log_power_merit(group_V, sizes, _ZETA))
 
         score = float(group_V.min()) - lam * _norm_q(beta, config.q)
         if score > best_score:
@@ -355,7 +358,7 @@ def _fit_at_lambda(stats: GroupStats, config: PenaltyConfig, lam: float) -> Maxi
             converged = True
             break
         floor = WEIGHT_FLOOR_SCALE * max(1.0, float(group_V.max()))
-        mass = _group_mass(group_V, config.zeta, floor, sizes)
+        mass = _group_mass(group_V, _ZETA, floor, sizes)
 
     if not converged:
         beta, group_V = best_beta, best_V
@@ -373,13 +376,13 @@ def fit_reweighted(dataset: Dataset, spec: GroupSpec,
     moves by more than ``config.tol`` or after ``config.max_iter`` rounds (in
     which case the best iterate is returned with ``converged=False``).
 
-    The weights are proportional to n_g V_g^(zeta - 1), so a fixed point of
-    the loop maximizes sum_g n_g V_g^zeta.  For zeta in (0, 1) that is a
-    size-weighted power mean of the group variances, between their
-    geometric and arithmetic means: a surrogate for the worst-group value
-    min_g V_g, not a soft minimum of it, and on inhomogeneous data the two
-    maximizers can lie far apart (see "Exact empirical maximin with a
-    duality-gap certificate" in ROADMAP.md).
+    The weights are proportional to n_g V_g^(zeta - 1) with the fixed
+    exponent zeta = 0.01, so a fixed point of the loop maximizes
+    sum_g n_g V_g^zeta.  That is a size-weighted power mean of the group
+    variances, between their geometric and arithmetic means: a surrogate for
+    the worst-group value min_g V_g, not a soft minimum of it, and on
+    inhomogeneous data the two maximizers can lie far apart (see "Exact
+    empirical maximin with a duality-gap certificate" in ROADMAP.md).
 
     Constrained mode runs the same loop without a penalty and solves each
     weighted step exactly over the ball ||b||_q <= kappa: the l2 step is a

@@ -232,21 +232,21 @@ def simplex_solve(C, *, max_iter: int | None = None) -> LpResult:
     level[level <= _TOL] = 0.0
     level /= sigma
     np.negative(level, out=level, where=cols >= p)
+    support = cols % p
     beta = np.zeros(p)
-    beta[cols % p] = level
+    beta[support] = level
     objective = float(np.abs(level).sum())
-    _check_optimal(C, rownorm, beta, objective, -np.minimum(T[-1, :G], 0.0),
-                   np.empty(p))
+    _check_optimal(C, rownorm, beta, support, objective,
+                   -np.minimum(T[-1, :G], 0.0), np.empty(p))
     return LpResult(beta=beta, objective=objective, iterations=iters)
 
 
-def _check_optimal(C, rownorm, beta, objective, y, u) -> None:
+def _check_optimal(C, rownorm, beta, support, objective, y, u) -> None:
     """Raise SolverError unless beta and the duals y >= 0 certify
-    optimality; ``u`` is scratch of length p."""
-    # C beta >= 1 up to rounding, which ||C_i||_inf ||beta||_1 bounds; a
-    # pass over C rather than a gather of the active columns, which would
-    # hand the interpreter lock to other threads on every solve
-    reach = C @ beta
+    optimality; beta is zero outside the columns ``support``, and ``u`` is
+    scratch of length p."""
+    # C beta >= 1 up to rounding, which ||C_i||_inf ||beta||_1 bounds
+    reach = C[:, support] @ beta[support]
     if (reach + _CERT_TOL * objective * rownorm).min(initial=1.0) < 1.0:
         raise SolverError("LP certificate failed: C beta >= 1 is violated "
                           f"by {1.0 - reach.min():.3e}")

@@ -151,15 +151,13 @@ class PenaltyConfig:
     """Penalty kind, penalty mode and solver tolerances.
 
     mode is one of ``"penalized"`` (uses ``lam``), ``"constrained"`` (uses
-    ``kappa``) or ``"maximal"``.  ``zeta`` is the power-approximation exponent
-    of the reweighting scheme, strictly inside (0, 1).
+    ``kappa``) or ``"maximal"``.
     """
 
     q: str = L1
     mode: str = MODE_PENALIZED
     lam: float = 0.0
     kappa: float | None = None
-    zeta: float = 0.01
     max_iter: int = 50
     tol: float = 1e-6
 
@@ -173,8 +171,6 @@ class PenaltyConfig:
         if self.mode == MODE_CONSTRAINED:
             if self.kappa is None or not self.kappa > 0.0:
                 raise ValidationError("constrained mode needs kappa > 0")
-        if not (0.0 < self.zeta < 1.0):
-            raise ValidationError("zeta must lie strictly inside (0, 1)")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be a positive integer")
         if not self.tol > 0.0:

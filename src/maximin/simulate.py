@@ -143,11 +143,11 @@ def gen_jump_process(n, p, support: SupportSet, delta, sigma_noise=0.0,
     rng = rng_from_seed(seed)
     X, sigma_true = _draw_design(rng, n, p, support.sigma, design, bound)
     jumps = rng.random(n) < delta
-    proposals = rng.integers(0, J, size=n)
-    assignments = np.empty(n, dtype=np.int64)
-    assignments[0] = rng.integers(0, J)
-    for i in range(1, n):
-        assignments[i] = proposals[i] if jumps[i] else assignments[i - 1]
+    values = rng.integers(0, J, size=n)
+    values[0] = rng.integers(0, J)
+    # each step holds the value drawn at the last jump, step 0 counting as one
+    last_jump = np.maximum.accumulate(np.where(jumps, np.arange(n), 0))
+    assignments = values[last_jump]
     eps = _draw_noise(rng, n, sigma_noise, noise, noise_df)
     if design == BOUNDED:
         support = SupportSet(points=support.points, sigma=sigma_true)

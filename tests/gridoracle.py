@@ -13,7 +13,9 @@ def _compositions_upto3(total):
     """All (a, b, c) >= 0 with a + b + c = total, as an (N, 3) int array."""
     counts = np.arange(total + 1, 0, -1)
     a = np.repeat(np.arange(total + 1), counts)
-    b = np.concatenate([np.arange(total - aa + 1) for aa in range(total + 1)])
+    # b counts up from 0 within each run of equal a
+    starts = np.cumsum(counts) - counts
+    b = np.arange(counts.sum()) - np.repeat(starts, counts)
     c = total - a - b
     return np.stack([a, b, c], axis=1)
 
@@ -45,7 +47,7 @@ def grid_hull_min(points, sigma, step):
     best_val, best_w = np.inf, None
     for chunk in simplex_grid_chunks(K, d):
         W = chunk.astype(np.float64)
-        vals = np.einsum("ni,ij,nj->n", W, Q, W)
+        vals = ((W @ Q) * W).sum(axis=1)
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_val = float(vals[i])
@@ -66,7 +68,7 @@ def grid_pred_maximin(points, sigma, step):
         worst = np.full(W.shape[0], -np.inf)
         for b in P:
             diff = gammas - b
-            worst = np.maximum(worst, np.einsum("ni,ij,nj->n", diff, S, diff))
+            worst = np.maximum(worst, ((diff @ S) * diff).sum(axis=1))
         i = int(np.argmin(worst))
         if worst[i] < best_val:
             best_val = float(worst[i])

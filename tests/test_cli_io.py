@@ -17,8 +17,10 @@ from maximin import (
     MaximinFit,
     MissingColumn,
     ParseError,
+    PenaltyConfig,
     RaggedRows,
     SeriesReport,
+    ValidationError,
     consecutive_blocks,
     gen_figure2,
     sample_groups,
@@ -600,6 +602,37 @@ class TestCliSurface:
                       "--threads", "2"])
         assert e.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--groups", "blocks:2", "--out", "x.json"],
+        ["cv-groups"],
+    ])
+    def test_zeta_flag_is_gone(self, tmp_path, capsys, command):
+        # the reweighting exponent is fixed; an old command line gets the
+        # usage error
+        with pytest.raises(SystemExit) as e:
+            cli_main([*command, "--data", str(tmp_path / "data.csv"),
+                      "--zeta", "0.5"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --zeta 0.5" in capsys.readouterr().err
+
+    def test_solver_defaults_are_the_config_defaults(self, tmp_path, monkeypatch):
+        # fit's defaults are PenaltyConfig's, and cv-groups' too apart from
+        # its own maximal mode
+        (tmp_path / "d.csv").write_text("y,x1\n1,2\n3,4\n5,7\n2,1\n")
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(kwargs.get("config", args[-1]))
+            raise ValidationError("recorded")
+
+        monkeypatch.setattr(cli, "fit_with_config", record)
+        monkeypatch.setattr(cli, "cv_group_count", record)
+        data = str(tmp_path / "d.csv")
+        assert cli_main(["fit", "--data", data, "--groups", "blocks:2",
+                         "--out", str(tmp_path / "x.json")]) == 2
+        assert cli_main(["cv-groups", "--data", data]) == 2
+        assert seen == [PenaltyConfig(), PenaltyConfig(mode="maximal")]
 
     @pytest.mark.parametrize("points", ["[[]]", "[]"])
     def test_oracle_support_without_coordinates_exits_2(self, tmp_path, points):

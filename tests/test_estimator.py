@@ -361,6 +361,23 @@ class TestReweightedMultiGroup:
                                                      kappa=100.0))
         np.testing.assert_allclose(fit.beta, free.beta, atol=1e-12)
 
+    @pytest.mark.parametrize("config", [
+        PenaltyConfig(q="l1"),
+        PenaltyConfig(q="l1", lam=0.1),
+        PenaltyConfig(q="l1", mode="constrained", kappa=0.8),   # the ball binds
+    ])
+    def test_all_zero_predictor_gets_exactly_zero(self, config):
+        # coordinate descent skips a coordinate whose Gram diagonal vanishes
+        rng = np.random.default_rng(3)
+        ds, spec = two_group_data(rng, [1.0, 0.5, -0.3], [1.0, -0.4, 0.2], 150,
+                                  noise=0.3)
+        with_zero = Dataset(X=np.insert(ds.X, 1, 0.0, axis=1), Y=ds.Y)
+        ref = fit_reweighted(ds, spec, config).beta
+        beta = fit_reweighted(with_zero, spec, config).beta
+        assert beta[1] == 0.0
+        others = np.delete(beta, 1)
+        assert np.abs(others - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_group_v_matches_emp_explained_variance(self):
         rng = np.random.default_rng(8)
         ds, spec = two_group_data(rng, [1.0, 0.5], [1.0, -0.5], 150, noise=0.1)

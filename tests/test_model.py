@@ -126,14 +126,12 @@ class TestSupportSet:
 class TestPenaltyConfig:
     def test_defaults(self):
         cfg = PenaltyConfig()
-        assert cfg.zeta == 0.01 and cfg.max_iter == 50
+        assert cfg.max_iter == 50
 
     @pytest.mark.parametrize("kwargs", [
         dict(lam=-1.0),
         dict(mode="constrained"),                 # kappa missing
         dict(mode="constrained", kappa=0.0),
-        dict(zeta=0.0),
-        dict(zeta=1.0),
         dict(max_iter=0),
         dict(tol=0.0),
         dict(q="l3"),
@@ -145,6 +143,11 @@ class TestPenaltyConfig:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValidationError):
             PenaltyConfig(**kwargs)
+
+    def test_zeta_is_not_a_field(self):
+        # the reweighting exponent is fixed inside the estimator
+        with pytest.raises(TypeError, match="zeta"):
+            PenaltyConfig(zeta=0.5)
 
 
 def test_validated_inputs_accepted_downstream():

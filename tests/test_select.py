@@ -335,7 +335,7 @@ class TestSelectPenalty:
 
     def test_levels_carry_every_config_field(self, monkeypatch):
         # each level's config is the caller's with only the mode and lam set
-        base = PenaltyConfig(q="l2", mode="constrained", kappa=0.7, zeta=0.2,
+        base = PenaltyConfig(q="l2", mode="constrained", kappa=0.7,
                              max_iter=7, tol=1e-5)
         seen, real_fit = [], select._fit_stats
         monkeypatch.setattr(select, "_fit_stats",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maximin import (
     InvalidWeights,
@@ -120,6 +122,29 @@ class TestJumpProcess:
     def test_time_ordered_flag(self):
         out = gen_jump_process(50, 2, SUPPORT2, delta=0.1, seed=9)
         assert out.dataset.time_ordered
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 300), J=st.integers(1, 4), delta=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32))
+    @example(n=300, J=3, delta=0.0, seed=1)
+    @example(n=300, J=3, delta=1.0, seed=1)
+    def test_assignments_match_reference_chain(self, n, J, delta, seed):
+        # the chain step by step, from the same draws in the same order:
+        # the gaussian design, the jump flags, the proposals, the first state
+        points = np.zeros((J, 2))
+        points[:, 0] = np.arange(J)
+        s = SupportSet(points=points, sigma=I2)
+        rng = np.random.Generator(np.random.Philox(seed))
+        rng.standard_normal((n, 2))
+        jumps = rng.random(n) < delta
+        proposals = rng.integers(0, J, size=n)
+        ref = np.empty(n, dtype=np.int64)
+        ref[0] = rng.integers(0, J)
+        for i in range(1, n):
+            ref[i] = proposals[i] if jumps[i] else ref[i - 1]
+        got = gen_jump_process(n, 2, s, delta=delta, seed=seed).assignments
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
 
 
 class TestContaminated:
