@@ -132,6 +132,8 @@ class TestPenaltyConfig:
         dict(lam=-1.0),
         dict(mode="constrained"),                 # kappa missing
         dict(mode="constrained", kappa=0.0),
+        dict(mode="constrained", kappa=-1.0),
+        dict(tol=-1e-6),
         dict(max_iter=0),
         dict(tol=0.0),
         dict(q="l3"),
