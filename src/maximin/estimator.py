@@ -17,9 +17,10 @@ Two routes to an estimate:
   prediction scale exactly, from one parabola per group.
 
 The data enter only through per-group Gram matrices, cross-products and
-sizes, held in one :class:`GroupStats`: the one input of every consumer
-below the public functions, which share it through :func:`_validated_stats`,
-so it is validated and built once per (Dataset, GroupSpec) pair.
+sizes, and no other summary of Y, held in one :class:`GroupStats`: the one
+input of every consumer below the public functions, which share it through
+:func:`_validated_stats`, so it is validated and built once per (Dataset,
+GroupSpec) pair.
 """
 
 from __future__ import annotations
@@ -73,33 +74,29 @@ def _group_mass(group_V, zeta, floor, sizes):
 
 @dataclass(frozen=True, eq=False)
 class GroupStats:
-    """Per-group sufficient statistics of validated data.
+    """Per-group sufficient statistics of validated data: all a fit reads.
 
     ``grams`` (G, p, p) and ``crosses`` (G, p) are X_g'X_g / n_g and
-    X_g'Y_g / n_g, ``sizes`` (G,) the n_g.  ``dead_level`` is the explained
-    variance below which a fit counts as explaining nothing, set from the
-    response rows the groups were drawn from.  The arrays are not copied.
+    X_g'Y_g / n_g, ``sizes`` (G,) the n_g.  The arrays are not copied.
     """
 
     grams: np.ndarray
     crosses: np.ndarray
     sizes: np.ndarray
-    dead_level: float
+
+    def terms(self, beta) -> tuple[np.ndarray, np.ndarray]:
+        """a_g = c_g'beta and q_g = beta' Gram_g beta of every group: scaled
+        by s, beta explains 2 s a_g - s^2 q_g of group g."""
+        return self.crosses @ beta, (self.grams @ beta) @ beta
 
     def values(self, beta) -> np.ndarray:
         """Empirical explained variance of beta in every group at once."""
-        return 2.0 * self.crosses @ beta - (self.grams @ beta) @ beta
+        a, q = self.terms(beta)
+        return 2.0 * a - q
 
 
-def _dead_level(Y) -> float:
-    """A fit is "dead" when even its best group explains nothing beyond
-    numerical dust relative to the scale of the response Y."""
-    return 1e-12 * float(Y @ Y) / Y.shape[0]
-
-
-def _group_stats(dataset: Dataset, groups, rows=None) -> GroupStats:
-    """Statistics of the given index sets, drawn from the response rows
-    ``rows`` (all of Y by default)."""
+def _group_stats(dataset: Dataset, groups) -> GroupStats:
+    """Statistics of the given index sets."""
     G = len(groups)
     p = dataset.p
     grams = np.empty((G, p, p))
@@ -112,8 +109,7 @@ def _group_stats(dataset: Dataset, groups, rows=None) -> GroupStats:
         grams[g] = Xg.T @ Xg / n_g
         crosses[g] = Xg.T @ Yg / n_g
         sizes[g] = n_g
-    Y = dataset.Y if rows is None else dataset.Y[rows]
-    return GroupStats(grams, crosses, sizes, _dead_level(Y))
+    return GroupStats(grams, crosses, sizes)
 
 
 def _validated_stats(dataset: Dataset, spec: GroupSpec) -> GroupStats:
@@ -149,11 +145,12 @@ def _solve_weighted_l1(A, d, lam, beta0, tol, kappa=None):
     """Coordinate descent on  -2 b'd + b'Ab + lam * ||b||_1, or at lam = 0
     the exact minimizer of  -2 b'd + b'Ab  over the ball ||b||_1 <= kappa.
 
-    Sweeps until the largest coordinate change falls below a scale-free
-    threshold.  When a bound kappa is given and the descent's answer lies
-    outside the ball, the ball's minimizer is b = P'w with P = kappa [I; -I]
-    its 2p vertices and w the simplex QP of the hull oracle with
-    Q = P A P' and linear term -2 P d, solved to the duality gap ``tol``.
+    Sweeps until the largest coordinate change is at most ``tol`` times the
+    largest |b_j|, so an all-zero answer stops at once.  When a bound kappa
+    is given and the descent's answer lies outside the ball, the ball's
+    minimizer is b = P'w with P = kappa [I; -I] its 2p vertices and w the
+    simplex QP of the hull oracle with Q = P A P' and linear term -2 P d,
+    solved to the duality gap ``tol``.
     """
     p = d.shape[0]
     beta = beta0.copy()
@@ -172,7 +169,7 @@ def _solve_weighted_l1(A, d, lam, beta0, tol, kappa=None):
                 Ab += (new - old) * A[:, j]
                 beta[j] = new
                 delta_max = max(delta_max, abs(new - old))
-        if delta_max < tol * (1.0 + np.abs(beta).max(initial=0.0)):
+        if delta_max <= tol * np.abs(beta).max(initial=0.0):
             break
     else:
         raise NonConverged("coordinate descent hit the sweep limit", residual=delta_max)
@@ -223,9 +220,8 @@ def _solve_weighted_l2(A, d, lam, kappa=None):
     def g(mu):
         return mu * np.linalg.norm(d_tilde / (evals + mu)) - 0.5 * lam
 
-    hi = max(lam, float(evals[-1]), 1.0)
-    while g(hi) < 0.0:
-        hi *= 4.0
+    # ||b(mu)|| >= ||d~|| / (evals[-1] + mu), so g(hi) >= 0
+    hi = lam * float(evals[-1]) / (2.0 * norm_d - lam)
     mu = _bisect(lambda mu: g(mu) < 0.0, 0.0, hi)
     return evecs @ (d_tilde / (evals + mu))
 
@@ -428,23 +424,21 @@ def rescale(beta, dataset: Dataset, spec: GroupSpec) -> float:
     beta = np.asarray(beta, dtype=np.float64)
     if not np.any(beta):
         raise ValidationError("rescale needs a nonzero direction")
-    return _rescale(beta, _validated_stats(dataset, spec))
+    return _rescale(*_validated_stats(dataset, spec).terms(beta))
 
 
-def _rescale(beta, stats: GroupStats) -> float:
-    """:func:`rescale` on group statistics already built from validated data.
+def _rescale(a, q) -> float:
+    """:func:`rescale` from the direction's terms a_g = beta'c_g and
+    q_g = beta' Gram_g beta (see :meth:`GroupStats.terms`).
 
-    With a_g = beta'c_g and q_g = beta' Gram_g beta the objective is
-    s * min_g (2 a_g - s q_g), so on each stretch where line k is the lowest
-    of the lines 2 a_g - s q_g its best point is the vertex a_k / q_k.  The
-    walk follows that lower envelope from s = 0: on the active line it stops
-    at the vertex (clipped below at the kink where the line took over),
-    unless a steeper line crosses first, in which case it moves to that
-    crossing.  Every move goes to a strictly steeper line, so there are at
-    most G of them.
+    The objective is s * min_g (2 a_g - s q_g), so on each stretch where
+    line k is the lowest of the lines 2 a_g - s q_g its best point is the
+    vertex a_k / q_k.  The walk follows that lower envelope from s = 0: on
+    the active line it stops at the vertex (clipped below at the kink where
+    the line took over), unless a steeper line crosses first, in which case
+    it moves to that crossing.  Every move goes to a strictly steeper line,
+    so there are at most G of them.
     """
-    a = stats.crosses @ beta
-    q = (stats.grams @ beta) @ beta
     if float(a.min()) <= 0.0:
         return 0.0
     k = int(np.lexsort((-q, a))[0])     # lowest at s = 0, steepest on ties
@@ -472,16 +466,18 @@ def fit_with_config(dataset: Dataset, spec: GroupSpec,
 
 def _fit_stats(stats: GroupStats, config: PenaltyConfig) -> MaximinFit:
     """:func:`fit_with_config` on group statistics already built from
-    validated data: the one private entry point of every fit."""
+    validated data: the one private entry point of every fit.  A fit without
+    penalty (lam = 0, or constrained) whose every V_g is at most zero raises
+    :class:`AllGroupsNonpositive`; a zero response gives exact zeros."""
     if config.mode != MODE_MAXIMAL:
         lam = config.lam if config.mode == MODE_PENALIZED else 0.0
         fit = _fit_at_lambda(stats, config, lam)
-        if lam == 0.0 and float(fit.group_V.max()) <= stats.dead_level:
+        if lam == 0.0 and float(fit.group_V.max()) <= 0.0:
             raise AllGroupsNonpositive(
                 "no coefficient vector positively explains any group")
         return fit
     direction = fit_maximal_penalty(stats.crosses, config)
-    s = _rescale(direction, stats)
-    group_V = stats.values(s * direction)
-    return MaximinFit(beta=direction, group_V=group_V, scale=s,
+    a, q = stats.terms(direction)
+    s = _rescale(a, q)
+    return MaximinFit(beta=direction, group_V=s * (2.0 * a - s * q), scale=s,
                       iterations=0, converged=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import GroupStats, _dead_level, _fit_stats, _group_stats, _validated_stats
+from .estimator import GroupStats, _fit_stats, _group_stats, _validated_stats
 from .exceptions import InvalidSize, TooFewObservations, ValidationError
 from .grouping import _block_edges, rng_from_seed, sample_groups
 from .model import (
@@ -90,14 +90,13 @@ def _ordered_stats(dataset: Dataset, half: np.ndarray, counts) -> list[GroupStat
         Xa = dataset.X[rows]
         atom_grams[k] = Xa.T @ Xa
         atom_crosses[k] = Xa.T @ dataset.Y[rows]
-    dead_level = _dead_level(dataset.Y[half])
     stats = []
     for bounds in edges:
         first = np.searchsorted(starts, bounds[:-1])
         sizes = np.diff(bounds).astype(np.float64)
         stats.append(GroupStats(np.add.reduceat(atom_grams, first) / sizes[:, None, None],
                                 np.add.reduceat(atom_crosses, first) / sizes[:, None],
-                                sizes, dead_level))
+                                sizes))
     return stats
 
 
@@ -107,7 +106,7 @@ def _random_stats(dataset: Dataset, half: np.ndarray, G: int, rng) -> GroupStats
     m = half.shape[0]
     spec = sample_groups(m, G, m // G, replacement=False,
                          seed=int(rng.integers(0, 2**63 - 1)))
-    return _group_stats(dataset, [half[idx] for idx in spec.groups], rows=half)
+    return _group_stats(dataset, [half[idx] for idx in spec.groups])
 
 
 def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
@@ -224,7 +223,7 @@ def select_penalty(dataset: Dataset, spec: GroupSpec, lambda_grid, seed: int = 0
     stats = GroupStats(
         (n[:, None, None] * full.grams - k[:, None, None] * hold.grams) / m[:, None, None],
         (n[:, None] * full.crosses - k[:, None] * hold.crosses) / m[:, None],
-        m, full.dead_level)
+        m)
     best_lam, best_score = grid[-1], -np.inf
     for lam in grid:
         fit = _fit_stats(stats, replace(base, mode=MODE_PENALIZED, lam=lam))

@@ -194,9 +194,14 @@ class TestPenalizedSolvers:
                 A = (Q * evals) @ Q.T
                 d = Q @ (rng.standard_normal(p) * (evals > 0.0))
                 lam = float(rng.uniform(0.2, 1.5)) * np.linalg.norm(d)
-                b = estimator._solve_weighted_l2(A, d, lam)
-                mu = (d - A @ b) @ b / (b @ b)
-                assert mu * np.linalg.norm(b) == pytest.approx(0.5 * lam, rel=1e-12)
+                # A in far units, and a level just below the vanishing one
+                # 2||d||, where mu is about 2e12 times A's largest eigenvalue
+                for scale, level in ((1.0, lam), (2.0**40, lam), (2.0**-40, lam),
+                                     (1.0, (2.0 - 1e-12) * np.linalg.norm(d))):
+                    As = scale * A
+                    b = estimator._solve_weighted_l2(As, d, level)
+                    mu = (d - As @ b) @ b / (b @ b)
+                    assert mu * np.linalg.norm(b) == pytest.approx(0.5 * level, rel=1e-12)
 
 
 class TestGroupStats:
@@ -284,7 +289,6 @@ class TestStatsMemo:
             assert got.tobytes() == ref.tobytes()
             with pytest.raises(ValueError):
                 got[...] = 0.0
-        assert memo.dead_level == fresh.dead_level
 
     def test_threads_sharing_a_spec_get_their_own_dataset_stats(self):
         # threads alternate two datasets on one spec, so the memo is replaced
@@ -583,7 +587,7 @@ class TestUnitScale:
         for q in ("l1", "l2"):
             cfg = PenaltyConfig(q=q, lam=0.0)
             base = fit_reweighted(Dataset(X=X, Y=Y), spec, cfg).beta
-            for c in (1e-5, 1e-6, 1e-7):
+            for c in (1e-5, 1e-6, 1e-7, 2.0**20, 2.0**30):
                 beta = fit_reweighted(Dataset(X=c * X, Y=Y), spec, cfg).beta
                 assert np.linalg.norm(c * beta - base) <= 1e-9 * np.linalg.norm(base)
 
@@ -596,6 +600,27 @@ class TestUnitScale:
                 assert fit.group_V.max() > 0.0
                 with pytest.raises(AllGroupsNonpositive):
                     fit_reweighted(Dataset(X=X, Y=0.0 * Y), spec, cfg)
+
+    def test_tiny_signal_beside_a_large_orthogonal_response_is_fitted(self):
+        # u is orthogonal to X inside each block, so every group's best
+        # coefficient is exactly 2^-22 b, while Y'Y/n is about 2^44 times
+        # any V_g: a fit may read the statistics but not Y's energy
+        rng = np.random.default_rng(3)
+        n, p, G = 400, 3, 4
+        X = rng.standard_normal((n, p))
+        b = rng.standard_normal(p)
+        u = rng.standard_normal(n)
+        for rows in np.split(np.arange(n), G):
+            Xg = X[rows]
+            u[rows] -= Xg @ np.linalg.lstsq(Xg, u[rows], rcond=None)[0]
+        ds = Dataset(X=X, Y=u + np.ldexp(X @ b, -22))
+        spec = consecutive_blocks(n, G)
+        assert np.linalg.norm(b) < 5.0          # the ball below does not bind
+        for cfg in (PenaltyConfig(q="l1", lam=0.0), PenaltyConfig(q="l2", lam=0.0),
+                    PenaltyConfig(q="l2", mode="constrained", kappa=5 * 2.0**-22)):
+            fit = fit_reweighted(ds, spec, cfg)
+            assert fit.group_V.max() > 0.0
+            assert np.linalg.norm(np.ldexp(fit.beta, 22) - b) <= 1e-8
 
     @pytest.mark.parametrize("k", [0, -30, -60])
     def test_null_space_signal_raises_at_every_scale(self, k):
@@ -795,13 +820,10 @@ def _envelope_oracle(a, q):
 
 
 class TestExactRescale:
-    """The envelope walk of ``_rescale`` on one-coordinate statistics, where
-    a_g and q_g are the cross-products and Grams themselves."""
+    """The envelope walk of ``_rescale`` on given terms a_g and q_g."""
 
     def _walk(self, a, q):
-        return estimator._rescale(np.ones(1), estimator.GroupStats(
-            np.asarray(q, float)[:, None, None], np.asarray(a, float)[:, None],
-            np.ones(len(a)), 0.0))
+        return estimator._rescale(np.asarray(a, float), np.asarray(q, float))
 
     def test_kink_beats_clipped_vertex(self):
         # the steep group's vertex 0.03 lies left of where it takes over

@@ -227,11 +227,10 @@ class TestCvOnStatistics:
         for G, stats in zip(counts, select._ordered_stats(ds, half, counts)):
             bounds = _block_edges(200, G)
             ref = estimator._group_stats(
-                ds, [half[a:b] for a, b in zip(bounds[:-1], bounds[1:])], rows=half)
+                ds, [half[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
             np.testing.assert_allclose(stats.grams, ref.grams, rtol=0, atol=1e-12)
             np.testing.assert_allclose(stats.crosses, ref.crosses, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(stats.sizes, ref.sizes)
-            assert stats.dead_level == ref.dead_level
 
     def test_ordered_memory_independent_of_n(self):
         # n = 2e4, p = 200: a running sum of x x' along the series would
@@ -328,7 +327,6 @@ class TestSelectPenalty:
         ref = estimator._group_stats(ds, train_groups)
         got = seen["train"]
         np.testing.assert_array_equal(got.sizes, ref.sizes)
-        assert got.dead_level == ref.dead_level
         for g in range(spec.n_groups):
             for a, b in ((got.grams[g], ref.grams[g]), (got.crosses[g], ref.crosses[g])):
                 assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
