@@ -28,7 +28,7 @@ from .model import (
     validate,
 )
 from .select import DEFAULT_G_TEST, DEFAULT_MIN_BLOCK, DEFAULT_SPLITS, cv_group_count
-from .variance import cumulative_cross_product, emp_explained_variance
+from .variance import cumulative_cross_product
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -184,12 +184,12 @@ def _cmd_evaluate(args) -> int:
     if coef.shape[0] != dataset.p:
         raise ValidationError(
             f"fit has {coef.shape[0]} coefficients but the data has p={dataset.p}")
+    predictions = dataset.X @ coef
     if spec is not None:
         validate(dataset, spec)
+        explained = predictions * (2.0 * dataset.Y - predictions)
         for g, idx in enumerate(spec.groups, start=1):
-            v = emp_explained_variance(dataset, idx, coef)
-            print(f"group {g}: V {v:.6g}")
-    predictions = dataset.X @ coef
+            print(f"group {g}: V {explained[idx].mean():.6g}")
     report = cumulative_cross_product(dataset.Y, predictions, standardize=True)
     print(f"overall standardized cross-product: {report.cumsum[-1]:.6g}")
     if args.emit_series:

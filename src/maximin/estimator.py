@@ -137,34 +137,38 @@ def _validated_stats(dataset: Dataset, spec: GroupSpec) -> GroupStats:
     return stats
 
 
-def _soft_threshold(z, t):
-    return np.sign(z) * max(abs(z) - t, 0.0)
-
-
 def _solve_weighted_l1(A, d, lam, beta0, tol, kappa=None):
     """Coordinate descent on  -2 b'd + b'Ab + lam * ||b||_1, or at lam = 0
     the exact minimizer of  -2 b'd + b'Ab  over the ball ||b||_1 <= kappa.
 
-    Sweeps until the largest coordinate change is at most ``tol`` times the
-    largest |b_j|, so an all-zero answer stops at once.  When a bound kappa
-    is given and the descent's answer lies outside the ball, the ball's
-    minimizer is b = P'w with P = kappa [I; -I] its 2p vertices and w the
-    simplex QP of the hull oracle with Q = P A P' and linear term -2 P d,
-    solved to the duality gap ``tol``.
+    A coordinate whose diagonal entry of A is exactly zero (a zero column of
+    the positive semidefinite A, so the objective ignores it) is fixed at 0,
+    and the others are swept until the largest coordinate change is at most
+    ``tol`` times the largest |b_j|, so an all-zero answer stops at once.
+    When a bound kappa is given and the descent's answer lies outside the
+    ball, the ball's minimizer is b = P'w with P = kappa [I; -I] its 2p
+    vertices and w the simplex QP of the hull oracle with Q = P A P' and
+    linear term -2 P d, solved to the duality gap ``tol`` times that QP's
+    own scale, kappa^2 max_j A_jj + max |linear|: every stop is relative.
     """
     p = d.shape[0]
     beta = beta0.copy()
-    Ab = A @ beta
     diag = np.diag(A)
+    beta[diag == 0.0] = 0.0
+    free = np.flatnonzero(diag != 0.0).tolist()
+    Ab = A @ beta
+    t = 0.5 * lam
     for _ in range(_MAX_SWEEPS):
         delta_max = 0.0
-        for j in range(p):
+        for j in free:
             old = beta[j]
             z = d[j] - Ab[j] + diag[j] * old
-            if diag[j] <= 1e-300:
-                new = 0.0
+            if z > t:
+                new = (z - t) / diag[j]
+            elif z < -t:
+                new = (z + t) / diag[j]
             else:
-                new = _soft_threshold(z, 0.5 * lam) / diag[j]
+                new = 0.0
             if new != old:
                 Ab += (new - old) * A[:, j]
                 beta[j] = new
@@ -176,7 +180,9 @@ def _solve_weighted_l1(A, d, lam, beta0, tol, kappa=None):
     if kappa is None or np.abs(beta).sum() <= kappa:
         return beta
     P = kappa * np.vstack([np.eye(p), -np.eye(p)])
-    w, _, _ = _simplex_qp(P, A, -2.0 * (P @ d), tol, DEFAULT_MAX_ITER)
+    linear = -2.0 * (P @ d)
+    gap = tol * (kappa * kappa * float(diag.max()) + float(np.abs(linear).max()))
+    w, _, _ = _simplex_qp(P, A, linear, gap, DEFAULT_MAX_ITER)
     return P.T @ w
 
 
@@ -280,7 +286,8 @@ def lambda_max(dataset: Dataset, spec: GroupSpec, q: str = L1) -> float:
     """Penalty level at which the uniformly weighted fit collapses to zero.
 
     Twice the max-coordinate (l1) or the euclidean norm (l2) of the pooled
-    cross-product; a valid bracket endpoint for penalty searches.
+    cross-product; the top of a penalty grid, such as the one
+    :func:`select.select_penalty` searches.
     """
     stats = _validated_stats(dataset, spec)
     pooled = stats.sizes @ stats.crosses / stats.sizes.sum()
@@ -310,7 +317,7 @@ def _fit_at_lambda(stats: GroupStats, config: PenaltyConfig, lam: float) -> Maxi
     mass = sizes / sizes.sum()          # uniform per-observation start
     beta = np.zeros(p)
     group_V = np.zeros(G)
-    inner_tol = max(1e-14, 0.01 * config.tol)
+    inner_tol = 0.01 * config.tol
     path = []
     best_beta, best_V, best_score = beta, group_V, -np.inf
     converged = False
@@ -350,10 +357,11 @@ def _fit_at_lambda(stats: GroupStats, config: PenaltyConfig, lam: float) -> Maxi
         if score > best_score:
             best_beta, best_V, best_score = beta.copy(), group_V.copy(), score
 
-        if delta < config.tol:
+        scale = float(np.abs(group_V).max())
+        if delta <= config.tol * scale:
             converged = True
             break
-        floor = WEIGHT_FLOOR_SCALE * max(1.0, float(group_V.max()))
+        floor = WEIGHT_FLOOR_SCALE * scale
         mass = _group_mass(group_V, _ZETA, floor, sizes)
 
     if not converged:
@@ -369,8 +377,10 @@ def fit_reweighted(dataset: Dataset, spec: GroupSpec,
 
     Starts from uniform weights and alternates the weight update with one
     weighted penalized regression; stops when no group's explained variance
-    moves by more than ``config.tol`` or after ``config.max_iter`` rounds (in
-    which case the best iterate is returned with ``converged=False``).
+    moves by more than ``config.tol`` times the largest |V_g| (a relative
+    accuracy, so the fit does not depend on the units of X or Y) or after
+    ``config.max_iter`` rounds (in which case the best iterate is returned
+    with ``converged=False``).
 
     The weights are proportional to n_g V_g^(zeta - 1) with the fixed
     exponent zeta = 0.01, so a fixed point of the loop maximizes

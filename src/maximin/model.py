@@ -151,7 +151,10 @@ class PenaltyConfig:
     """Penalty kind, penalty mode and solver tolerances.
 
     mode is one of ``"penalized"`` (uses ``lam``), ``"constrained"`` (uses
-    ``kappa``) or ``"maximal"``.
+    ``kappa``) or ``"maximal"``.  ``tol`` is a relative accuracy: the
+    reweighted fit stops once no group's explained variance moves by more
+    than ``tol`` times the largest |V_g|, and its inner solves stop on the
+    same unit-free scale, so rescaling X or Y does not change when it stops.
     """
 
     q: str = L1

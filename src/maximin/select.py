@@ -23,7 +23,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimator import GroupStats, _fit_stats, _group_stats, _validated_stats
-from .exceptions import InvalidSize, TooFewObservations, ValidationError
+from .exceptions import (
+    AllGroupsNonpositive,
+    Infeasible,
+    InvalidSize,
+    TooFewObservations,
+    ValidationError,
+)
 from .grouping import _block_edges, rng_from_seed, sample_groups
 from .model import (
     MODE_PENALIZED,
@@ -128,7 +134,10 @@ def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
     once.  Per split, every block's Gram matrix and cross-product are built
     once, each candidate is fitted on its training blocks' statistics, and
     each test block is scored as 2c'beta - beta'S beta from its own
-    statistics.
+    statistics.  A training fit that vanishes (the maximal LP is
+    :class:`Infeasible`, or no group is positively explained and
+    :class:`AllGroupsNonpositive` is raised) is the zero fit, and beta = 0
+    scores 0 on every test block, so that split scores 0.0 for the candidate.
 
     The splits run one after another on the calling thread.  ``n_jobs`` is
     ignored, kept only for callers that still pass it: the per-split work
@@ -170,7 +179,11 @@ def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
             train_stats = [_random_stats(dataset, train_idx, G, block_rng)
                            for G in candidates]
         for k, stats in enumerate(train_stats):
-            row[k] = test.values(_fit_stats(stats, config).coefficients).min()
+            try:
+                coef = _fit_stats(stats, config).coefficients
+            except (Infeasible, AllGroupsNonpositive):
+                coef = np.zeros(dataset.p)      # a vanishing fit is the zero fit
+            row[k] = test.values(coef).min()
 
     scores = table.mean(axis=0)
     ses = table.std(axis=0, ddof=1) / np.sqrt(splits) if splits > 1 else \

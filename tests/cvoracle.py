@@ -6,13 +6,17 @@ on blocks of that half, and every test block is scored with
 ``emp_explained_variance`` on the test half's rows.  The split plan (cut
 points, shuffles, block seeds) is drawn from the same seeded generator in
 the same order as ``cv_group_count`` draws it, so the scores must agree with
-the package's statistics-based search up to rounding.
+the package's statistics-based search up to rounding.  A training fit that
+raises ``Infeasible`` or ``AllGroupsNonpositive`` is scored as the zero
+coefficient vector.
 """
 
 import numpy as np
 
 from maximin import (
+    AllGroupsNonpositive,
     Dataset,
+    Infeasible,
     PenaltyConfig,
     consecutive_blocks,
     emp_explained_variance,
@@ -57,7 +61,10 @@ def reference_cv_scores(dataset, candidates, splits, g_test, config=None, seed=0
         test_blocks = _reference_blocks(test.n, g_test, ordered, block_rng)
         for k, G in enumerate(candidates):
             blocks = _reference_blocks(train.n, G, ordered, block_rng)
-            coef = fit_with_config(train, blocks, config).coefficients
+            try:
+                coef = fit_with_config(train, blocks, config).coefficients
+            except (Infeasible, AllGroupsNonpositive):
+                coef = np.zeros(dataset.p)      # a vanishing fit is the zero fit
             table[r, k] = min(emp_explained_variance(test, blk, coef)
                               for blk in test_blocks.groups)
     scores = table.mean(axis=0)

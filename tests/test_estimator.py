@@ -582,6 +582,32 @@ class TestUnitScale:
         Y = np.concatenate([X[100 * g:100 * (g + 1)] @ B[g] for g in range(4)])
         return X, Y + 0.5 * rng.standard_normal(400), consecutive_blocks(400, 4)
 
+    def _face(self):
+        # 8 blocks of 500 around one effect: the l1 ball kappa = 1.2 binds
+        # and its answer lies on a face of the ball (3 nonzeros of 5)
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((4000, 5))
+        B = np.array([1.0, 0.8, -0.5, 0.3, 0.0]) + 0.6 * rng.standard_normal((8, 5))
+        Y = np.concatenate([X[500 * g:500 * (g + 1)] @ B[g] for g in range(8)])
+        return X, Y + rng.standard_normal(4000), consecutive_blocks(4000, 8)
+
+    @pytest.mark.parametrize("instance, kappa", [("_data", 0.5), ("_face", 1.2)])
+    @pytest.mark.parametrize("a, b", [(1.0, 1e-7), (1.0, 2.0**-30), (2.0**-30, 2.0**-30),
+                                      (2.0**20, 2.0**20), (2.0**-20, 1.0)],
+                             ids=["Y1e-7", "Y2^-30", "XY2^-30", "XY2^20", "X2^-20"])
+    def test_reweighted_modes_are_unit_equivariant(self, instance, kappa, a, b):
+        # X a and Y b scale every coefficient by b / a, and the ball with it:
+        # every stopping rule of the loop is relative to the group values
+        X, Y, spec = getattr(self, instance)()
+        scaled = Dataset(X=a * X, Y=b * Y)
+        for q in ("l2", "l1"):
+            for mode, k in (("penalized", None), ("constrained", kappa)):
+                base = fit_reweighted(Dataset(X=X, Y=Y), spec,
+                                      PenaltyConfig(q=q, mode=mode, kappa=k)).beta
+                cfg = PenaltyConfig(q=q, mode=mode, kappa=None if k is None else k * b / a)
+                beta = fit_reweighted(scaled, spec, cfg).beta
+                assert np.linalg.norm(beta * (a / b) - base) <= 1e-9 * np.linalg.norm(base)
+
     def test_coefficients_scale_inversely_with_the_predictors(self):
         X, Y, spec = self._data()
         for q in ("l1", "l2"):

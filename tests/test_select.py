@@ -159,6 +159,23 @@ class TestCvOnStatistics:
             np.testing.assert_allclose(res.std_errors, ses, rtol=0, atol=1e-10)
             assert res.chosen == chosen
 
+    def test_vanishing_training_fit_scores_as_the_zero_fit(self):
+        # two opposite regimes: some training splits have no direction
+        # aligned with every block, so their maximal LP is infeasible; such a
+        # split scores 0.0, the worst test value of beta = 0, for that G
+        support = SupportSet(points=[[1.0], [-1.0]], sigma=np.eye(1))
+        ds = gen_jump_process(4000, 1, support, delta=0.01, sigma_noise=1.0,
+                              seed=3).dataset
+        config = self.CONFIGS["maximal"]
+        res = cv_group_count(ds, (2, 5, 10), splits=5, g_test=2,
+                             config=config, min_block=50)
+        chosen, scores, ses = reference_cv_scores(ds, (2, 5, 10), 5, 2, config)
+        np.testing.assert_allclose(res.scores, scores, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(res.std_errors, ses, rtol=0, atol=1e-10)
+        assert res.chosen == chosen
+        assert np.all(np.isfinite(res.scores))
+        assert res.scores[1] == 0.0 and res.std_errors[1] == 0.0
+
     @pytest.mark.parametrize("ordered", [True, False])
     def test_threads_give_identical_scores(self, ordered):
         ds = shifted(np.random.default_rng(12), ordered=ordered)
