@@ -174,6 +174,9 @@ def _cmd_cv_groups(args) -> int:
     for G, s, se in zip(result.candidates, result.scores, result.std_errors):
         print(f"{G},{s:.6g},{se:.6g}")
     print(f"chosen G: {result.chosen}")
+    for G, k in zip(result.candidates, result.vanished):
+        if k:
+            print(f"G={G}: training fit vanished on {k} of {args.splits} splits")
     return EXIT_OK
 
 

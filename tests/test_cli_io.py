@@ -20,9 +20,12 @@ from maximin import (
     PenaltyConfig,
     RaggedRows,
     SeriesReport,
+    SupportSet,
     ValidationError,
     consecutive_blocks,
+    cv_group_count,
     gen_figure2,
+    gen_jump_process,
     sample_groups,
 )
 from maximin.cli import main as cli_main
@@ -479,6 +482,28 @@ class TestCliSurface:
                     "--seed", "0", cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         assert "chosen G:" in r.stdout
+
+    def test_cv_groups_reports_vanished_training_fits(self, tmp_path, capsys):
+        # two opposite regimes: the maximal training fit vanishes on some
+        # splits; the table and the chosen line keep their format and one
+        # line per such candidate follows
+        support = SupportSet(points=[[1.0], [-1.0]], sigma=np.eye(1))
+        ds = gen_jump_process(4000, 1, support, delta=0.01, sigma_noise=1.0,
+                              seed=3).dataset
+        write_csv_dataset(ds, tmp_path / "data.csv")
+        code = cli_main(["cv-groups", "--data", str(tmp_path / "data.csv"),
+                         "--candidates", "2,5,10", "--splits", "5", "--g-test", "2",
+                         "--min-block", "50", "--time-ordered"])
+        assert code == 0
+        res = cv_group_count(ds, (2, 5, 10), splits=5, g_test=2,
+                             config=PenaltyConfig(mode="maximal"), min_block=50)
+        rows = [f"{G},{s:.6g},{se:.6g}" for G, s, se in
+                zip(res.candidates, res.scores, res.std_errors)]
+        assert capsys.readouterr().out.splitlines() == [
+            "G,score,stderr", *rows, f"chosen G: {res.chosen}",
+            "G=2: training fit vanished on 3 of 5 splits",
+            "G=5: training fit vanished on 5 of 5 splits",
+            "G=10: training fit vanished on 5 of 5 splits"]
 
     def test_exit_code_validation_error(self, tmp_path):
         r = run_cli("fit", "--data", "missing.csv", "--groups", "blocks:2",

@@ -23,7 +23,7 @@ from maximin import (
     select_penalty,
 )
 from maximin.grouping import _block_edges
-from cvoracle import reference_cv_scores
+from cvoracle import _reference_halves, reference_cv_scores
 
 L2FREE = PenaltyConfig(q="l2", mode="penalized", lam=0.0)
 
@@ -131,10 +131,21 @@ class TestCvGroupCount:
         assert good / reps >= 0.70
 
 
+def rows_of(runs):
+    """The series positions of runs (start, stop), in order."""
+    return np.concatenate([np.arange(a, b) for a, b in runs])
+
+
+def runs_of(half):
+    """A sorted index array as its runs (start, stop) of consecutive rows."""
+    breaks = np.flatnonzero(np.diff(half) != 1) + 1
+    return [(int(r[0]), int(r[-1]) + 1) for r in np.split(half, breaks)]
+
+
 def shifted(rng, n=1200, p=3, ordered=False):
     """Two regimes: the second half of the rows gains a coefficient."""
     X = rng.standard_normal((n, p))
-    Y = X @ np.array([1.0, 0.5, -0.3])[:p] + 0.5 * rng.standard_normal(n)
+    Y = X[:, :3] @ np.array([1.0, 0.5, -0.3])[:p] + 0.5 * rng.standard_normal(n)
     Y[n // 2:] += X[n // 2:, 1]
     return Dataset(X=X, Y=Y, time_ordered=ordered)
 
@@ -159,6 +170,29 @@ class TestCvOnStatistics:
             np.testing.assert_allclose(res.std_errors, ses, rtol=0, atol=1e-10)
             assert res.chosen == chosen
 
+    @pytest.mark.parametrize("mode", ["maximal", "l2"])
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_unit_equivariant(self, ordered, mode):
+        # X 2^a and Y 2^b scale every block statistic by a power of two,
+        # exactly, and beta by 2^(b - a), so every score scales by 4^b and
+        # the chosen G stays; the maximal LP on C / sigma is exact too
+        config = self.CONFIGS[mode]
+        ds = shifted(np.random.default_rng(19), ordered=ordered)
+        kw = dict(splits=6, g_test=3, config=config, seed=2, min_block=50)
+        base = cv_group_count(ds, [2, 3, 6], **kw)
+        for a, b in ((-20, 10), (15, -30), (0, 40), (7, 7)):
+            scaled = cv_group_count(
+                Dataset(X=ds.X * 2.0**a, Y=ds.Y * 2.0**b, time_ordered=ordered),
+                [2, 3, 6], **kw)
+            assert scaled.chosen == base.chosen
+            for got, want in ((scaled.scores, base.scores * 4.0**b),
+                              (scaled.std_errors, base.std_errors * 4.0**b)):
+                if mode == "maximal":
+                    np.testing.assert_array_equal(got, want)
+                else:
+                    np.testing.assert_allclose(got, want, rtol=0,
+                                               atol=1e-12 * np.abs(want).max())
+
     def test_vanishing_training_fit_scores_as_the_zero_fit(self):
         # two opposite regimes: some training splits have no direction
         # aligned with every block, so their maximal LP is infeasible; such a
@@ -175,6 +209,8 @@ class TestCvOnStatistics:
         assert res.chosen == chosen
         assert np.all(np.isfinite(res.scores))
         assert res.scores[1] == 0.0 and res.std_errors[1] == 0.0
+        # G = 5 and 10 vanish on every split, G = 2 on three of the five
+        np.testing.assert_array_equal(res.vanished, [3, 5, 5])
 
     @pytest.mark.parametrize("ordered", [True, False])
     def test_threads_give_identical_scores(self, ordered):
@@ -212,16 +248,24 @@ class TestCvOnStatistics:
         assert len(calls) == 1
 
     def test_ordered_halves_are_two_runs_at_most(self):
-        # the per-atom statistics of ordered halves rely on this shape
+        # the ordered statistics read each half as runs of the series; the
+        # runs cover the index sets the row reference draws from the same
+        # generator state
         rng = np.random.default_rng(14)
         for n in (10, 11, 97, 400):
             for _ in range(20):
-                train, test = select._halves(n, True, rng)
-                assert train.shape[0] == n // 2
+                state = rng.bit_generator.state
+                train, test = select._ordered_halves(n, rng)
+                rng.bit_generator.state = state
+                ref_train, ref_test = _reference_halves(n, True, rng)
+                assert sum(b - a for a, b in train) == n // 2
+                for runs, ref in ((train, ref_train), (test, ref_test)):
+                    assert 1 <= len(runs) <= 2
+                    assert all(a < b for a, b in runs)
+                    np.testing.assert_array_equal(rows_of(runs), ref)
                 np.testing.assert_array_equal(
-                    np.sort(np.concatenate([train, test])), np.arange(n))
-                for half in (train, test):
-                    assert np.count_nonzero(np.diff(half) != 1) <= 1
+                    np.sort(np.concatenate([rows_of(train), rows_of(test)])),
+                    np.arange(n))
 
     @pytest.mark.parametrize("ordered", [True, False])
     @pytest.mark.parametrize("bad", [0, -1])
@@ -230,28 +274,67 @@ class TestCvOnStatistics:
         def no_split(*a):
             raise AssertionError("a split was drawn before the candidates were checked")
         monkeypatch.setattr(select, "_halves", no_split)
+        monkeypatch.setattr(select, "_ordered_halves", no_split)
         ds = shifted(np.random.default_rng(16), ordered=ordered)
         with pytest.raises(InvalidSize, match=f"G={bad}"):
             cv_group_count(ds, [2, bad], splits=2, g_test=2, config=L2FREE,
                            min_block=50)
 
-    @pytest.mark.parametrize("cut", [50, 300])
-    def test_ordered_stats_equal_group_stats(self, cut):
-        # cut = 50 gives one run [50, 250); cut = 300 wraps: [0, 100) + [300, 400)
-        ds = shifted(np.random.default_rng(17), n=400, ordered=True)
-        half = np.sort(np.roll(np.arange(400), -cut)[:200])
-        counts = [3, 7]
-        for G, stats in zip(counts, select._ordered_stats(ds, half, counts)):
-            bounds = _block_edges(200, G)
+    # name: (n, p, cut, counts); with p = 3 the table's chunk length is 4
+    ORDERED_CASES = {
+        50: (400, 3, 50, [3, 7]),                   # one run [50, 250)
+        300: (400, 3, 300, [3, 7]),                 # [0, 100) + [300, 400)
+        "chunk_edges": (400, 3, 100, [2, 25, 50]),  # every edge a multiple of 4
+        "tail": (403, 3, 350, [3, 7]),              # ends at n, inside a part chunk
+        "wide": (12, 800, 9, [2, 3]),               # sqrt(n p / 64) > n
+    }
+
+    @pytest.mark.parametrize("case", list(ORDERED_CASES))
+    def test_ordered_stats_equal_group_stats(self, case):
+        n, p, cut, counts = self.ORDERED_CASES[case]
+        ds = shifted(np.random.default_rng(17), n=n, p=p, ordered=True)
+        half = np.sort(np.roll(np.arange(n), -cut)[:n // 2])
+        runs = runs_of(half)
+        table = select._running_table(ds)
+        edges = [_block_edges(n // 2, G) for G in counts]
+        if case == "chunk_edges":
+            assert table.step == 4 and np.all(half[edges[-1][:-1]] % 4 == 0)
+        if case in (300, "tail"):
+            assert runs[-1][1] == n and (n % table.step != 0) == (case == "tail")
+        if case == "wide":
+            assert table.step == n - 1
+        for bounds, stats in zip(edges, select._ordered_stats(table, runs, edges)):
             ref = estimator._group_stats(
                 ds, [half[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
             np.testing.assert_allclose(stats.grams, ref.grams, rtol=0, atol=1e-12)
             np.testing.assert_allclose(stats.crosses, ref.crosses, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(stats.sizes, ref.sizes)
 
+    def test_running_sum_cancellation_stays_small(self):
+        # block statistics are differences of sums from the first row, which
+        # grow like n * mean^2; against direct sums at n = 2e5 with column
+        # means of 100 they stay within 1e-11 of the largest entry
+        rng = np.random.default_rng(18)
+        n, p = 200_000, 3
+        X = 100.0 + rng.standard_normal((n, p))
+        ds = Dataset(X=X, Y=X @ np.array([1.0, -0.5, 0.2]) + rng.standard_normal(n),
+                     time_ordered=True)
+        runs = [(0, 37_123), (n - 62_877, n)]
+        half = rows_of(runs)
+        edges = [_block_edges(half.shape[0], G) for G in (2, 50, 400)]
+        table = select._running_table(ds)
+        for bounds, stats in zip(edges, select._ordered_stats(table, runs, edges)):
+            ref = estimator._group_stats(
+                ds, [half[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
+            scale = np.abs(ref.grams).max()
+            assert np.abs(stats.grams - ref.grams).max() <= 1e-11 * scale
+            assert np.abs(stats.crosses - ref.crosses).max() <= \
+                1e-11 * np.abs(ref.crosses).max()
+
     def test_ordered_memory_independent_of_n(self):
-        # n = 2e4, p = 200: a running sum of x x' along the series would
-        # need n p^2 doubles (6.4 GB); block statistics stay near the data
+        # n = 2e4, p = 200: a running sum of x x' at every row would need
+        # n p^2 doubles (6.4 GB); kept at every c-th row (c = 250) the table
+        # is 0.81 times X, and the whole search peaks at 1.31 times X
         rng = np.random.default_rng(15)
         n, p = 20_000, 200
         X = rng.standard_normal((n, p))
