@@ -197,8 +197,23 @@ def _solve_weighted_l2(A, d, lam, kappa=None):
     inside it, and otherwise ||b(mu)|| = kappa, strictly decreasing in mu and
     at most kappa at mu = ||d|| / kappa: the trust-region step (More and
     Sorensen, 1983).  Either root is bisected to adjacent floats.
+
+    A coordinate whose diagonal entry of A is exactly zero (a zero column
+    of the positive semidefinite A) is fixed at 0 and the solve runs on the
+    others, which leaves ||b|| and the objective as they are; signal of d
+    on such coordinates is refused like any signal on a null direction.
     """
     p = d.shape[0]
+    zero = np.diag(A) == 0.0
+    if zero.any():
+        if np.linalg.norm(d[zero]) > 1e-10 * np.linalg.norm(d):
+            raise SolverError(
+                "weighted Gram matrix is singular along the response direction")
+        beta = np.zeros(p)
+        if not zero.all():
+            free = ~zero
+            beta[free] = _solve_weighted_l2(A[np.ix_(free, free)], d[free], lam, kappa)
+        return beta
     evals, evecs = np.linalg.eigh(A)
     if evals[0] <= 1e-12 * evals[-1]:
         dn = evecs.T @ d

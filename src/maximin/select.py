@@ -15,7 +15,11 @@ running sums of x x' and x y per call, kept at every c-th row with c near
 sqrt(n p / 64), so (n / c + 1) p^2 doubles: about 0.8 times the size of X
 at n = 2e4, p = 200, and 100 KB at n = 2e4, p = 5.  Each split's block
 statistics are then differences of those sums at the block edges.  On
-unordered data every block is gathered from its rows once per split.
+unordered data every block is gathered from its rows once per split.  In
+maximal mode the statistics of a chunk of splits are held at once, as many
+splits as fit in a quarter of X's bytes (see :func:`_maximal_chunk`), and
+each candidate's training LPs of the chunk are solved as one stack of
+programs (see :mod:`maximin.lp`); the reweighted modes fit split by split.
 Penalty selection validates and builds the full groups' statistics once
 per (Dataset, GroupSpec) pair, shared with every other fit on that pair,
 and builds only the hold-out groups itself.
@@ -27,16 +31,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import GroupStats, _fit_stats, _group_stats, _validated_stats
+from .estimator import (
+    GroupStats,
+    _fit_stats,
+    _group_stats,
+    _rescale,
+    _validated_stats,
+)
 from .exceptions import (
     AllGroupsNonpositive,
-    Infeasible,
     InvalidSize,
     TooFewObservations,
     ValidationError,
 )
 from .grouping import _block_edges, rng_from_seed, sample_groups
+from .lp import _simplex_stack
 from .model import (
+    L1,
+    MODE_MAXIMAL,
     MODE_PENALIZED,
     Dataset,
     GroupSpec,
@@ -194,6 +206,16 @@ def _random_stats(dataset: Dataset, half: np.ndarray, G: int, rng) -> GroupStats
     return _group_stats(dataset, [half[idx] for idx in spec.groups])
 
 
+def _maximal_chunk(dataset: Dataset, g_test: int, candidates) -> int:
+    """Splits whose statistics maximal-mode CV holds at once: as many as
+    fit in a quarter of X's bytes, and at least one.  A split holds the
+    Gram, cross-product and size of its g_test test blocks and of every
+    candidate's training blocks."""
+    p = dataset.p
+    split_bytes = 8 * (g_test + sum(candidates)) * (p * p + p + 1)
+    return max(1, dataset.X.nbytes // (4 * split_bytes))
+
+
 def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
                    g_test: int = DEFAULT_G_TEST,
                    config: PenaltyConfig | None = None, seed: int = 0,
@@ -217,14 +239,21 @@ def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
     2c'beta - beta'S beta from its own statistics.  Ordered blocks are
     differences of one running-sum table built per call (see
     :func:`_running_table` and :func:`_ordered_stats`); unordered blocks are
-    gathered from their rows.  A training fit that vanishes (the maximal LP
-    is :class:`Infeasible`, or no group is positively explained and
+    gathered from their rows.  In maximal mode the splits' statistics are
+    held a chunk at a time, as many splits as fit in a quarter of X's bytes
+    (19 at n = 2e4, p = 5 with candidates 2, 5, 10, 20; 2 at p = 200 with
+    candidates 2, 5), and each candidate's training LPs of a chunk are one
+    stacked solve, each direction then rescaled from its own blocks as
+    :func:`estimator.fit_with_config` does, so every score is the one a
+    split-by-split fit gives, to the bit.  A training fit that vanishes (the
+    maximal LP is infeasible, or no group is positively explained and
     :class:`AllGroupsNonpositive` is raised) is the zero fit, and beta = 0
     scores 0 on every test block, so that split scores 0.0 for the candidate.
 
-    The splits run one after another on the calling thread.  ``n_jobs`` is
-    ignored, kept only for callers that still pass it: the per-split work
-    holds the interpreter lock, so a thread pool was slower than one thread.
+    The splits and the stacked LPs run one after another on the calling
+    thread.  ``n_jobs`` is ignored, kept only for callers that still pass
+    it: the per-split work holds the interpreter lock, so a thread pool was
+    slower than one thread.
     """
     validate(dataset)
     candidates = tuple(int(g) for g in candidates)
@@ -252,28 +281,51 @@ def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
         running = _running_table(dataset)
         train_edges = [_block_edges(half, G) for G in candidates]
         test_edges = [_block_edges(n - half, g_test)]
-    table = np.empty((splits, len(candidates)))
-    vanished = np.zeros(len(candidates), dtype=np.int64)
-    for row in table:
+
+    def draw_split():
+        """Statistics of the next split's test blocks and, per candidate, of
+        its training blocks."""
         if dataset.time_ordered:
             train_runs, test_runs = _ordered_halves(n, rng)
             # unused here, but drawn: the next cut point follows it
             rng.integers(0, 2**63 - 1)
-            test = _ordered_stats(running, test_runs, test_edges)[0]
-            train_stats = _ordered_stats(running, train_runs, train_edges)
-        else:
-            train_idx, test_idx = _halves(n, rng)
-            block_rng = rng_from_seed(int(rng.integers(0, 2**63 - 1)))
-            test = _random_stats(dataset, test_idx, g_test, block_rng)
-            train_stats = [_random_stats(dataset, train_idx, G, block_rng)
-                           for G in candidates]
-        for k, stats in enumerate(train_stats):
-            try:
-                coef = _fit_stats(stats, config).coefficients
-            except (Infeasible, AllGroupsNonpositive):
-                coef = np.zeros(dataset.p)      # a vanishing fit is the zero fit
-                vanished[k] += 1
-            row[k] = test.values(coef).min()
+            return (_ordered_stats(running, test_runs, test_edges)[0],
+                    _ordered_stats(running, train_runs, train_edges))
+        train_idx, test_idx = _halves(n, rng)
+        block_rng = rng_from_seed(int(rng.integers(0, 2**63 - 1)))
+        test = _random_stats(dataset, test_idx, g_test, block_rng)
+        return test, [_random_stats(dataset, train_idx, G, block_rng)
+                      for G in candidates]
+
+    table = np.empty((splits, len(candidates)))
+    vanished = np.zeros(len(candidates), dtype=np.int64)
+    if config.mode != MODE_MAXIMAL:
+        for row in table:
+            test, train_stats = draw_split()
+            for k, stats in enumerate(train_stats):
+                try:
+                    coef = _fit_stats(stats, config).coefficients
+                except AllGroupsNonpositive:
+                    coef = np.zeros(dataset.p)      # a vanishing fit is the zero fit
+                    vanished[k] += 1
+                row[k] = test.values(coef).min()
+    else:
+        if config.q != L1:
+            raise ValidationError(
+                "the maximal-penalty direction is defined for the l1 penalty")
+        chunk = _maximal_chunk(dataset, g_test, candidates)
+        for first in range(0, splits, chunk):
+            held = [draw_split() for _ in range(min(chunk, splits - first))]
+            for k in range(len(candidates)):
+                betas, _, _, infeasible = _simplex_stack(
+                    np.stack([train[k].crosses for _, train in held]))
+                vanished[k] += infeasible.sum()
+                for r, (test, train) in enumerate(held):
+                    if infeasible[r]:
+                        coef = np.zeros(dataset.p)  # a vanishing fit is the zero fit
+                    else:
+                        coef = _rescale(*train[k].terms(betas[r])) * betas[r]
+                    table[first + r, k] = test.values(coef).min()
 
     scores = table.mean(axis=0)
     ses = table.std(axis=0, ddof=1) / np.sqrt(splits) if splits > 1 else \

@@ -369,9 +369,13 @@ class TestReweightedMultiGroup:
         PenaltyConfig(q="l1"),
         PenaltyConfig(q="l1", lam=0.1),
         PenaltyConfig(q="l1", mode="constrained", kappa=0.8),   # the ball binds
+        PenaltyConfig(q="l2"),
+        PenaltyConfig(q="l2", lam=0.1),
+        PenaltyConfig(q="l2", mode="constrained", kappa=0.8),
     ])
     def test_all_zero_predictor_gets_exactly_zero(self, config):
-        # coordinate descent skips a coordinate whose Gram diagonal vanishes
+        # coordinate descent and the l2 solve fix a coordinate whose Gram
+        # diagonal vanishes at 0
         rng = np.random.default_rng(3)
         ds, spec = two_group_data(rng, [1.0, 0.5, -0.3], [1.0, -0.4, 0.2], 150,
                                   noise=0.3)
@@ -380,7 +384,12 @@ class TestReweightedMultiGroup:
         beta = fit_reweighted(with_zero, spec, config).beta
         assert beta[1] == 0.0
         others = np.delete(beta, 1)
-        assert np.abs(others - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the outer loop's products with beta run over one more column, which
+        # can round them differently in the last bit; the six reweighting
+        # rounds of the constrained l2 fit carry that to 9.4e-11 of beta,
+        # so it gets the 1e-9 that TestUnitScale allows a reweighted fit
+        bound = 1e-9 if (config.q, config.mode) == ("l2", "constrained") else 1e-12
+        assert np.abs(others - ref).max() <= bound * np.abs(ref).max()
 
     def test_group_v_matches_emp_explained_variance(self):
         rng = np.random.default_rng(8)
@@ -668,6 +677,22 @@ class TestUnitScale:
         scaled = Dataset(X=np.ldexp(data.X, a), Y=np.ldexp(data.Y, b))
         np.testing.assert_array_equal(
             fit_with_config(scaled, spec, cfg).coefficients, np.ldexp(base, b - a))
+
+    @pytest.mark.parametrize("a, b", [(-20, 0), (0, -30), (20, 20), (-30, -30), (30, 0)])
+    def test_rescale_is_unit_equivariant(self, a, b):
+        # X 2^a, Y 2^b and the direction 2^(b-a) scale every a_g = beta'c_g
+        # and q_g = beta' Gram_g beta by 4^b, exactly, so the scale is the
+        # same to the bit; t beta has terms t a_g and t^2 q_g, so its scale is
+        # 1/t times, up to the rounding of the terms
+        data = gen_figure2(20000, seed=7).dataset
+        spec = consecutive_blocks(data.n, 40)
+        beta = fit_with_config(data, spec, PenaltyConfig(mode="maximal")).beta
+        base = rescale(beta, data, spec)
+        assert base > 0.0
+        scaled = Dataset(X=np.ldexp(data.X, a), Y=np.ldexp(data.Y, b))
+        assert rescale(np.ldexp(beta, b - a), scaled, spec) == base
+        for t in (3.0, 1e-3, 7e5):
+            assert rescale(t * beta, data, spec) == pytest.approx(base / t, rel=1e-15, abs=0)
 
 
 class TestBasicInequality:

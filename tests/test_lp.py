@@ -331,15 +331,85 @@ def test_certificate_rejects_a_suboptimal_answer(monkeypatch):
     assert simplex_solve(C).iterations >= 2
     real = lp._dual_simplex
 
-    def one_pivot(C, slack, T, basis, max_iter):
+    def one_pivot(C, slack, T, basis, infeasible, max_iter):
         try:
-            return real(C, slack, T, basis, 1)
+            return real(C, slack, T, basis, infeasible, 1)
         except NonConverged:
-            return 1
+            return np.ones(C.shape[0], dtype=np.int64)
 
     monkeypatch.setattr(lp, "_dual_simplex", one_pivot)
     with pytest.raises(SolverError, match="C beta >= 1 is violated"):
         simplex_solve(C)
+
+
+def _mixed_stack(rng, draw):
+    """A stack of programs of one random shape: aligned (feasible) draws,
+    raw draws (often infeasible once G > 1) and, at times, one program with
+    a zero row."""
+    B, G, p = int(rng.integers(1, 12)), int(rng.integers(1, 8)), int(rng.integers(1, 10))
+    C = np.stack([_feasible_C(rng, G, p, draw) if rng.random() < 0.5 else draw((G, p))
+                  for _ in range(B)])
+    if rng.random() < 0.3:
+        C[rng.integers(B), rng.integers(G)] = 0.0
+    return C
+
+
+@pytest.mark.parametrize("stall", [40, 1])
+@pytest.mark.parametrize("integer", [False, True])
+def test_stack_matches_one_at_a_time(monkeypatch, stall, integer):
+    # every program of a stack takes its own pivot path: the same beta, to
+    # the bit, and the same pivot count or Infeasible verdict as a solve of
+    # it alone; integer data under a stall limit of 1 run Bland's rule
+    monkeypatch.setattr(lp, "_STALL_LIMIT", stall)
+    rng = np.random.default_rng(31 + stall + integer)
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return np.round(2.0 * x) if integer else x
+
+    verdicts, zero_row = set(), False
+    for _ in range(120):
+        C = _mixed_stack(rng, draw)
+        beta, objective, iterations, infeasible = lp._simplex_stack(C)
+        zero_row |= bool((np.abs(C).max(axis=2) == 0.0).any())
+        for b in range(C.shape[0]):
+            try:
+                res = simplex_solve(C[b])
+            except Infeasible:
+                assert infeasible[b] and not beta[b].any()
+                verdicts.add(False)
+                continue
+            assert not infeasible[b]
+            np.testing.assert_array_equal(beta[b], res.beta)
+            assert iterations[b] == res.iterations
+            assert objective[b] == res.objective
+            verdicts.add(True)
+    assert verdicts == {True, False} and zero_row
+
+
+def test_bland_rule_changes_pivot_paths_in_a_stack(monkeypatch):
+    # the stall limit of 1 in test_stack_matches_one_at_a_time is not moot:
+    # on these integer stacks Bland's rule takes other pivots
+    rng = np.random.default_rng(5)
+    stacks = [_mixed_stack(rng, lambda shape: np.round(2.0 * rng.standard_normal(shape)))
+              for _ in range(60)]
+    counts = {}
+    for stall in (40, 1):
+        monkeypatch.setattr(lp, "_STALL_LIMIT", stall)
+        counts[stall] = np.concatenate([lp._simplex_stack(C)[2] for C in stacks])
+    assert np.any(counts[40] != counts[1])
+
+
+def test_one_program_over_the_cap_stops_the_stack():
+    # eye(2) needs two pivots, the other program one: the cap holds per
+    # program, and a program over it raises for the whole stack
+    fast = np.array([[1.0, 0.0], [1.0, 0.0]])
+    beta, _, iterations, _ = lp._simplex_stack(fast[None], max_iter=1)
+    np.testing.assert_array_equal(beta, [[1.0, 0.0]])
+    assert iterations.tolist() == [1]
+    with pytest.raises(NonConverged):
+        lp._simplex_stack(np.stack([fast, np.eye(2)]), max_iter=1)
+    assert lp._simplex_stack(np.stack([fast, np.eye(2)]), max_iter=2)[2].tolist() == [1, 2]
 
 
 def test_farkas_certificate():

@@ -74,6 +74,13 @@ class TestCvGroupCount:
             cv_group_count(ds, [2], splits=0, g_test=3, config=L2FREE,
                            seed=0, min_block=50)
 
+    def test_maximal_mode_needs_the_l1_penalty(self):
+        ds = homogeneous(np.random.default_rng(3))
+        with pytest.raises(ValidationError, match="l1 penalty"):
+            cv_group_count(ds, [2], splits=2, g_test=3,
+                           config=PenaltyConfig(q="l2", mode="maximal"),
+                           seed=0, min_block=50)
+
     def test_homogeneous_curve_flat_within_noise(self):
         # a single true coefficient: scores differ only by block noise, so
         # every candidate sits within a few standard errors of the best
@@ -212,6 +219,28 @@ class TestCvOnStatistics:
         # G = 5 and 10 vanish on every split, G = 2 on three of the five
         np.testing.assert_array_equal(res.vanished, [3, 5, 5])
 
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_chunks_of_splits_leave_every_score_as_it_is(self, monkeypatch, chunk):
+        # the stacked LPs of a chunk solve as their programs do alone, so how
+        # the splits fall into chunks (all seven in one, or one per chunk as
+        # a split-by-split fit) moves no score, bit for bit
+        support = SupportSet(points=[[1.0], [-1.0]], sigma=np.eye(1))
+        vanishing = gen_jump_process(4000, 1, support, delta=0.01, sigma_noise=1.0,
+                                     seed=3).dataset
+        cases = [(shifted(np.random.default_rng(12), ordered=True), 3),
+                 (shifted(np.random.default_rng(12), ordered=False), 3),
+                 (vanishing, 2)]
+        kw = dict(splits=7, config=PenaltyConfig(mode="maximal"), seed=1, min_block=50)
+        monkeypatch.setattr(select, "_maximal_chunk", lambda *a: 7)
+        results = [cv_group_count(ds, [2, 3, 6], g_test=g_test, **kw) for ds, g_test in cases]
+        assert 0 < results[2].vanished[0] < 7     # feasible and infeasible in one stack
+        monkeypatch.setattr(select, "_maximal_chunk", lambda *a: chunk)
+        for (ds, g_test), want in zip(cases, results):
+            got = cv_group_count(ds, [2, 3, 6], g_test=g_test, **kw)
+            np.testing.assert_array_equal(got.scores, want.scores)
+            np.testing.assert_array_equal(got.std_errors, want.std_errors)
+            np.testing.assert_array_equal(got.vanished, want.vanished)
+
     @pytest.mark.parametrize("ordered", [True, False])
     def test_threads_give_identical_scores(self, ordered):
         ds = shifted(np.random.default_rng(12), ordered=ordered)
@@ -225,15 +254,18 @@ class TestCvOnStatistics:
 
     @pytest.mark.parametrize("ordered", [True, False])
     def test_splits_run_on_the_calling_thread(self, monkeypatch, ordered):
+        # maximal mode solves each candidate's training LPs as one stack per
+        # chunk of splits; the four splits here fit one chunk
         threads = []
-        real = select._fit_stats
-        monkeypatch.setattr(select, "_fit_stats", lambda *a, **k: threads.append(
+        real = select._simplex_stack
+        monkeypatch.setattr(select, "_simplex_stack", lambda *a, **k: threads.append(
             threading.get_ident()) or real(*a, **k))
         ds = shifted(np.random.default_rng(12), ordered=ordered)
+        assert select._maximal_chunk(ds, 3, [2, 3, 6]) >= 4
         cv_group_count(ds, [2, 3, 6], splits=4, g_test=3,
                        config=PenaltyConfig(mode="maximal"), seed=4, min_block=50,
                        n_jobs=2)
-        assert threads == [threading.get_ident()] * 12
+        assert threads == [threading.get_ident()] * 3
 
     @pytest.mark.parametrize("ordered", [True, False])
     def test_validates_once(self, monkeypatch, ordered):
@@ -334,19 +366,22 @@ class TestCvOnStatistics:
     def test_ordered_memory_independent_of_n(self):
         # n = 2e4, p = 200: a running sum of x x' at every row would need
         # n p^2 doubles (6.4 GB); kept at every c-th row (c = 250) the table
-        # is 0.81 times X, and the whole search peaks at 1.31 times X
+        # is 0.81 times X.  Maximal mode holds the statistics of a chunk of
+        # splits, 0.12 times X each, up to a quarter of X: two splits here,
+        # where all 40 would take 4.8 times X
         rng = np.random.default_rng(15)
         n, p = 20_000, 200
         X = rng.standard_normal((n, p))
         ds = Dataset(X=X, Y=X[:, 0] + rng.standard_normal(n), time_ordered=True)
-        tracemalloc.start()
-        try:
-            cv_group_count(ds, [2, 5], splits=2, g_test=5,
-                           config=PenaltyConfig(mode="maximal"), seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * ds.X.nbytes
+        for splits in (2, 40):
+            tracemalloc.start()
+            try:
+                cv_group_count(ds, [2, 5], splits=splits, g_test=5,
+                               config=PenaltyConfig(mode="maximal"), seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * ds.X.nbytes
 
 
 class TestSelectPenalty:
