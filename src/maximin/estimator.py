@@ -16,6 +16,9 @@ Two routes to an estimate:
   storage is O(G^2 + p) on top of them.  :func:`rescale` then restores a
   prediction scale exactly, from one parabola per group.
 
+Every fit is computed here: :func:`_fit_stats` fits one set of statistics,
+:func:`_fit_chunk` many, as cross-validation does, on the same routes.
+
 The data enter only through per-group Gram matrices, cross-products and
 sizes, and no other summary of Y, held in one :class:`GroupStats`: the one
 input of every consumer below the public functions, which share it through
@@ -32,11 +35,12 @@ import numpy as np
 
 from .exceptions import (
     AllGroupsNonpositive,
+    Infeasible,
     NonConverged,
     SolverError,
     ValidationError,
 )
-from .lp import simplex_solve
+from .lp import _simplex_stack, simplex_solve
 from .model import (
     L1,
     L2,
@@ -141,9 +145,8 @@ def _solve_weighted_l1(A, d, lam, beta0, tol, kappa=None):
     """Coordinate descent on  -2 b'd + b'Ab + lam * ||b||_1, or at lam = 0
     the exact minimizer of  -2 b'd + b'Ab  over the ball ||b||_1 <= kappa.
 
-    A coordinate whose diagonal entry of A is exactly zero (a zero column of
-    the positive semidefinite A, so the objective ignores it) is fixed at 0,
-    and the others are swept until the largest coordinate change is at most
+    Every diagonal entry of A is positive (see :func:`_fit_at_lambda`).  The
+    coordinates are swept until the largest coordinate change is at most
     ``tol`` times the largest |b_j|, so an all-zero answer stops at once.
     When a bound kappa is given and the descent's answer lies outside the
     ball, the ball's minimizer is b = P'w with P = kappa [I; -I] its 2p
@@ -154,13 +157,11 @@ def _solve_weighted_l1(A, d, lam, beta0, tol, kappa=None):
     p = d.shape[0]
     beta = beta0.copy()
     diag = np.diag(A)
-    beta[diag == 0.0] = 0.0
-    free = np.flatnonzero(diag != 0.0).tolist()
     Ab = A @ beta
     t = 0.5 * lam
     for _ in range(_MAX_SWEEPS):
         delta_max = 0.0
-        for j in free:
+        for j in range(p):
             old = beta[j]
             z = d[j] - Ab[j] + diag[j] * old
             if z > t:
@@ -198,34 +199,19 @@ def _solve_weighted_l2(A, d, lam, kappa=None):
     at most kappa at mu = ||d|| / kappa: the trust-region step (More and
     Sorensen, 1983).  Either root is bisected to adjacent floats.
 
-    A coordinate whose diagonal entry of A is exactly zero (a zero column
-    of the positive semidefinite A) is fixed at 0 and the solve runs on the
-    others, which leaves ||b|| and the objective as they are; signal of d
-    on such coordinates is refused like any signal on a null direction.
+    Signal of d along a null direction of A (an eigenvalue at most 1e-12 of
+    the largest) is refused; without it the null directions are dropped.
     """
     p = d.shape[0]
-    zero = np.diag(A) == 0.0
-    if zero.any():
-        if np.linalg.norm(d[zero]) > 1e-10 * np.linalg.norm(d):
-            raise SolverError(
-                "weighted Gram matrix is singular along the response direction")
-        beta = np.zeros(p)
-        if not zero.all():
-            free = ~zero
-            beta[free] = _solve_weighted_l2(A[np.ix_(free, free)], d[free], lam, kappa)
-        return beta
     evals, evecs = np.linalg.eigh(A)
-    if evals[0] <= 1e-12 * evals[-1]:
-        dn = evecs.T @ d
-        null = evals <= 1e-12 * evals[-1]
-        if np.linalg.norm(dn[null]) > 1e-10 * np.linalg.norm(d):
+    d_tilde = evecs.T @ d
+    null = evals <= 1e-12 * evals.max(initial=0.0)
+    if null.any():
+        if np.linalg.norm(d_tilde[null]) > 1e-10 * np.linalg.norm(d):
             raise SolverError(
                 "weighted Gram matrix is singular along the response direction")
         # no signal in the null space: restrict to the positive eigenspace
-        keep = ~null
-        evals, evecs, d_tilde = evals[keep], evecs[:, keep], dn[keep]
-    else:
-        d_tilde = evecs.T @ d
+        evals, evecs, d_tilde = evals[~null], evecs[:, ~null], d_tilde[~null]
 
     if lam == 0.0:
         free = d_tilde / evals
@@ -324,9 +310,16 @@ def _fit_at_lambda(stats: GroupStats, config: PenaltyConfig, lam: float) -> Maxi
     exactly over the ball ||b||_q <= kappa, so one run of the loop fits the
     constrained estimator and each iterate, a convex combination of points
     of the ball, stays inside it.
+
+    A predictor that is zero in every group (a zero Gram diagonal) gets an
+    exact 0 and is dropped; the weights are positive, so A keeps a positive
+    diagonal.
     """
     kappa = config.kappa if config.mode == MODE_CONSTRAINED else None
     grams, crosses, sizes = stats.grams, stats.crosses, stats.sizes
+    keep = np.diagonal(grams, axis1=1, axis2=2).any(axis=0)
+    if not keep.all():
+        grams, crosses = grams[:, keep][:, :, keep], crosses[:, keep]
     G, p = crosses.shape
     flat_grams = grams.reshape(G, p * p)
     mass = sizes / sizes.sum()          # uniform per-observation start
@@ -381,7 +374,9 @@ def _fit_at_lambda(stats: GroupStats, config: PenaltyConfig, lam: float) -> Maxi
 
     if not converged:
         beta, group_V = best_beta, best_V
-    return MaximinFit(beta=beta, group_V=group_V, scale=1.0,
+    full = np.zeros(keep.shape[0])
+    full[keep] = beta
+    return MaximinFit(beta=full, group_V=group_V, scale=1.0,
                       iterations=iterations, converged=converged,
                       objective_path=tuple(path))
 
@@ -491,18 +486,39 @@ def fit_with_config(dataset: Dataset, spec: GroupSpec,
 
 def _fit_stats(stats: GroupStats, config: PenaltyConfig) -> MaximinFit:
     """:func:`fit_with_config` on group statistics already built from
-    validated data: the one private entry point of every fit.  A fit without
-    penalty (lam = 0, or constrained) whose every V_g is at most zero raises
-    :class:`AllGroupsNonpositive`; a zero response gives exact zeros."""
-    if config.mode != MODE_MAXIMAL:
-        lam = config.lam if config.mode == MODE_PENALIZED else 0.0
-        fit = _fit_at_lambda(stats, config, lam)
-        if lam == 0.0 and float(fit.group_V.max()) <= 0.0:
-            raise AllGroupsNonpositive(
-                "no coefficient vector positively explains any group")
-        return fit
-    direction = fit_maximal_penalty(stats.crosses, config)
-    a, q = stats.terms(direction)
-    s = _rescale(a, q)
-    return MaximinFit(beta=direction, group_V=s * (2.0 * a - s * q), scale=s,
-                      iterations=0, converged=True)
+    validated data; maximal mode is the stack of one of :func:`_fit_chunk`.
+    A fit without penalty (lam = 0, or constrained) whose every V_g is at
+    most zero raises :class:`AllGroupsNonpositive`; a zero response gives exact zeros."""
+    if config.mode == MODE_MAXIMAL:
+        [fit] = _fit_chunk([stats], config)
+        if fit is None:
+            raise Infeasible("no direction aligns positively with every group")
+        beta, s = fit
+        a, q = stats.terms(beta)
+        return MaximinFit(beta=beta, group_V=s * (2.0 * a - s * q), scale=s,
+                          iterations=0, converged=True)
+    lam = config.lam if config.mode == MODE_PENALIZED else 0.0
+    fit = _fit_at_lambda(stats, config, lam)
+    if lam == 0.0 and float(fit.group_V.max()) <= 0.0:
+        raise AllGroupsNonpositive("no coefficient vector positively explains any group")
+    return fit
+
+
+def _fit_chunk(stats: list[GroupStats], config: PenaltyConfig) -> list:
+    """(beta, scale) of the fit of each statistics set (all of one shape), or
+    None where it vanishes: its maximal LP is infeasible, or it raises
+    :class:`AllGroupsNonpositive`.  Maximal mode solves the LPs as one stack,
+    one set as the view C[None], and rescales each from its own groups."""
+    if config.mode == MODE_MAXIMAL:
+        C = stats[0].crosses[None] if len(stats) == 1 else np.stack([s.crosses for s in stats])
+        betas, _, _, infeasible = _simplex_stack(C)
+        return [None if lost else (beta, _rescale(*s.terms(beta)))
+                for s, beta, lost in zip(stats, betas, infeasible)]
+    fits = []
+    for s in stats:
+        try:
+            fit = _fit_stats(s, config)
+            fits.append((fit.beta, fit.scale))
+        except AllGroupsNonpositive:
+            fits.append(None)
+    return fits

@@ -151,10 +151,10 @@ class PenaltyConfig:
     """Penalty kind, penalty mode and solver tolerances.
 
     mode is one of ``"penalized"`` (uses ``lam``), ``"constrained"`` (uses
-    ``kappa``) or ``"maximal"``.  ``tol`` is a relative accuracy: the
-    reweighted fit stops once no group's explained variance moves by more
-    than ``tol`` times the largest |V_g|, and its inner solves stop on the
-    same unit-free scale, so rescaling X or Y does not change when it stops.
+    ``kappa``) or ``"maximal"`` (l1 only).  ``tol`` is a relative accuracy:
+    the reweighted fit stops once no group's explained variance moves by
+    more than ``tol`` times the largest |V_g|, and its inner solves stop on
+    the same unit-free scale: rescaling X or Y does not change when it stops.
     """
 
     q: str = L1
@@ -169,6 +169,8 @@ class PenaltyConfig:
             raise ValidationError(f"penalty q must be {L1!r} or {L2!r}, got {self.q!r}")
         if self.mode not in (MODE_PENALIZED, MODE_CONSTRAINED, MODE_MAXIMAL):
             raise ValidationError(f"unknown mode {self.mode!r}")
+        if self.mode == MODE_MAXIMAL and self.q != L1:
+            raise ValidationError("the maximal-penalty direction is defined for the l1 penalty")
         if not self.lam >= 0.0:  # also rejects NaN
             raise ValidationError("lam must be >= 0")
         if self.mode == MODE_CONSTRAINED:

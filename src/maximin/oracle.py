@@ -217,10 +217,12 @@ def conservative_check(support: SupportSet, beta,
     min_b beta'S(b - beta) and ``worst_point`` the minimizing support point.
     The maximin effect passes this check by construction: its predictions may
     under-explain the signal but are never negatively correlated with the
-    residuals.
+    residuals.  ``tol`` is relative to max_b b'S b (the check passes when
+    ``worst_value >= -tol max_b b'S b``), so units do not change the verdict.
     """
     beta = np.asarray(beta, dtype=np.float64)
     inner = support.points @ (support.sigma @ beta) - float(beta @ support.sigma @ beta)
     worst = int(np.argmin(inner))
     value = float(inner[worst])
-    return value >= -tol, value, support.points[worst].copy()
+    scale = float(((support.points @ support.sigma) * support.points).sum(axis=1).max())
+    return value >= -tol * scale, value, support.points[worst].copy()

@@ -15,11 +15,11 @@ running sums of x x' and x y per call, kept at every c-th row with c near
 sqrt(n p / 64), so (n / c + 1) p^2 doubles: about 0.8 times the size of X
 at n = 2e4, p = 200, and 100 KB at n = 2e4, p = 5.  Each split's block
 statistics are then differences of those sums at the block edges.  On
-unordered data every block is gathered from its rows once per split.  In
-maximal mode the statistics of a chunk of splits are held at once, as many
-splits as fit in a quarter of X's bytes (see :func:`_maximal_chunk`), and
-each candidate's training LPs of the chunk are solved as one stack of
-programs (see :mod:`maximin.lp`); the reweighted modes fit split by split.
+unordered data every block is gathered from its rows once per split.  The
+statistics of a chunk of splits are held at once, as many splits as fit in
+a quarter of X's bytes (see :func:`_chunk`), and each candidate's training
+statistics of the chunk are fitted in one call of the estimator (see
+:func:`estimator._fit_chunk`), which computes every fit of the search.
 Penalty selection validates and builds the full groups' statistics once
 per (Dataset, GroupSpec) pair, shared with every other fit on that pair,
 and builds only the hold-out groups itself.
@@ -33,22 +33,18 @@ import numpy as np
 
 from .estimator import (
     GroupStats,
+    _fit_chunk,
     _fit_stats,
     _group_stats,
-    _rescale,
     _validated_stats,
 )
 from .exceptions import (
-    AllGroupsNonpositive,
     InvalidSize,
     TooFewObservations,
     ValidationError,
 )
 from .grouping import _block_edges, rng_from_seed, sample_groups
-from .lp import _simplex_stack
 from .model import (
-    L1,
-    MODE_MAXIMAL,
     MODE_PENALIZED,
     Dataset,
     GroupSpec,
@@ -206,8 +202,8 @@ def _random_stats(dataset: Dataset, half: np.ndarray, G: int, rng) -> GroupStats
     return _group_stats(dataset, [half[idx] for idx in spec.groups])
 
 
-def _maximal_chunk(dataset: Dataset, g_test: int, candidates) -> int:
-    """Splits whose statistics maximal-mode CV holds at once: as many as
+def _chunk(dataset: Dataset, g_test: int, candidates) -> int:
+    """Splits whose statistics cross-validation holds at once: as many as
     fit in a quarter of X's bytes, and at least one.  A split holds the
     Gram, cross-product and size of its g_test test blocks and of every
     candidate's training blocks."""
@@ -239,18 +235,17 @@ def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
     2c'beta - beta'S beta from its own statistics.  Ordered blocks are
     differences of one running-sum table built per call (see
     :func:`_running_table` and :func:`_ordered_stats`); unordered blocks are
-    gathered from their rows.  In maximal mode the splits' statistics are
-    held a chunk at a time, as many splits as fit in a quarter of X's bytes
-    (19 at n = 2e4, p = 5 with candidates 2, 5, 10, 20; 2 at p = 200 with
-    candidates 2, 5), and each candidate's training LPs of a chunk are one
-    stacked solve, each direction then rescaled from its own blocks as
-    :func:`estimator.fit_with_config` does, so every score is the one a
-    split-by-split fit gives, to the bit.  A training fit that vanishes (the
-    maximal LP is infeasible, or no group is positively explained and
-    :class:`AllGroupsNonpositive` is raised) is the zero fit, and beta = 0
-    scores 0 on every test block, so that split scores 0.0 for the candidate.
+    gathered from their rows.  The splits' statistics are held a chunk at a
+    time (see :func:`_chunk`), and each candidate's training statistics of a
+    chunk are fitted in one call of :func:`estimator._fit_chunk`, each as
+    :func:`estimator.fit_with_config` fits it (in maximal mode in one stacked
+    LP solve), so every score is the one a split-by-split fit gives, to the
+    bit.  A training fit that vanishes (the maximal LP is infeasible, or no
+    group is positively explained and :class:`AllGroupsNonpositive` is
+    raised) is the zero fit, and beta = 0 scores 0 on every test block, so
+    that split scores 0.0 for the candidate.
 
-    The splits and the stacked LPs run one after another on the calling
+    The splits and their fits run one after another on the calling
     thread.  ``n_jobs`` is ignored, kept only for callers that still pass
     it: the per-split work holds the interpreter lock, so a thread pool was
     slower than one thread.
@@ -299,33 +294,16 @@ def cv_group_count(dataset: Dataset, candidates, splits: int = DEFAULT_SPLITS,
 
     table = np.empty((splits, len(candidates)))
     vanished = np.zeros(len(candidates), dtype=np.int64)
-    if config.mode != MODE_MAXIMAL:
-        for row in table:
-            test, train_stats = draw_split()
-            for k, stats in enumerate(train_stats):
-                try:
-                    coef = _fit_stats(stats, config).coefficients
-                except AllGroupsNonpositive:
-                    coef = np.zeros(dataset.p)      # a vanishing fit is the zero fit
+    chunk = _chunk(dataset, g_test, candidates)
+    for first in range(0, splits, chunk):
+        held = [draw_split() for _ in range(min(chunk, splits - first))]
+        for k in range(len(candidates)):
+            fits = _fit_chunk([train[k] for _, train in held], config)
+            for r, ((test, _), fit) in enumerate(zip(held, fits)):
+                if fit is None:
+                    fit = (np.zeros(dataset.p), 1.0)    # a vanishing fit is the zero fit
                     vanished[k] += 1
-                row[k] = test.values(coef).min()
-    else:
-        if config.q != L1:
-            raise ValidationError(
-                "the maximal-penalty direction is defined for the l1 penalty")
-        chunk = _maximal_chunk(dataset, g_test, candidates)
-        for first in range(0, splits, chunk):
-            held = [draw_split() for _ in range(min(chunk, splits - first))]
-            for k in range(len(candidates)):
-                betas, _, _, infeasible = _simplex_stack(
-                    np.stack([train[k].crosses for _, train in held]))
-                vanished[k] += infeasible.sum()
-                for r, (test, train) in enumerate(held):
-                    if infeasible[r]:
-                        coef = np.zeros(dataset.p)  # a vanishing fit is the zero fit
-                    else:
-                        coef = _rescale(*train[k].terms(betas[r])) * betas[r]
-                    table[first + r, k] = test.values(coef).min()
+                table[first + r, k] = test.values(fit[1] * fit[0]).min()
 
     scores = table.mean(axis=0)
     ses = table.std(axis=0, ddof=1) / np.sqrt(splits) if splits > 1 else \

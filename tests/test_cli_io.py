@@ -555,6 +555,26 @@ class TestCliSurface:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: lam must be >= 0")
 
+    def test_maximal_l2_is_a_validation_error(self, tmp_path, capsys):
+        (tmp_path / "d.csv").write_text("y,x1\n1,2\n3,4\n5,7\n6,1\n")
+        code = cli_main(["fit", "--data", str(tmp_path / "d.csv"),
+                         "--groups", "blocks:2", "--penalty", "l2",
+                         "--mode", "maximal", "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the maximal-penalty direction is defined for the l1 penalty\n")
+
+    @pytest.mark.parametrize("penalty", ["l1", "l2"])
+    def test_all_zero_predictors_exit_3(self, tmp_path, capsys, penalty):
+        # no coefficient explains any group: the unpenalized fit is a solver error
+        (tmp_path / "d.csv").write_text("y,x1,x2\n1,0,0\n3,0,0\n5,0,0\n6,0,0\n")
+        code = cli_main(["fit", "--data", str(tmp_path / "d.csv"),
+                         "--groups", "blocks:2", "--penalty", penalty,
+                         "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("solver error:")
+        assert not (tmp_path / "x.json").exists()
+
     def test_import_loads_no_scipy(self):
         # scipy costs about a second per interpreter; only the bounded
         # design loads it, when it runs

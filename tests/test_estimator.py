@@ -372,24 +372,50 @@ class TestReweightedMultiGroup:
         PenaltyConfig(q="l2"),
         PenaltyConfig(q="l2", lam=0.1),
         PenaltyConfig(q="l2", mode="constrained", kappa=0.8),
+        PenaltyConfig(mode="maximal"),
     ])
     def test_all_zero_predictor_gets_exactly_zero(self, config):
-        # coordinate descent and the l2 solve fix a coordinate whose Gram
-        # diagonal vanishes at 0
+        # a predictor that is zero in every group gets an exact zero, and
+        # the other coefficients and the cross-validation scores are those
+        # of the data without it
         rng = np.random.default_rng(3)
         ds, spec = two_group_data(rng, [1.0, 0.5, -0.3], [1.0, -0.4, 0.2], 150,
                                   noise=0.3)
         with_zero = Dataset(X=np.insert(ds.X, 1, 0.0, axis=1), Y=ds.Y)
-        ref = fit_reweighted(ds, spec, config).beta
-        beta = fit_reweighted(with_zero, spec, config).beta
-        assert beta[1] == 0.0
-        others = np.delete(beta, 1)
-        # the outer loop's products with beta run over one more column, which
-        # can round them differently in the last bit; the six reweighting
-        # rounds of the constrained l2 fit carry that to 9.4e-11 of beta,
-        # so it gets the 1e-9 that TestUnitScale allows a reweighted fit
+        # X'Y over one more column can round a cross-product differently in
+        # the last bit (4.4e-16 here); the six reweighting rounds of the
+        # constrained l2 fit carry that to 1.3e-10 of beta, so it gets the
+        # 1e-9 that TestUnitScale allows a reweighted fit
         bound = 1e-9 if (config.q, config.mode) == ("l2", "constrained") else 1e-12
-        assert np.abs(others - ref).max() <= bound * np.abs(ref).max()
+        ref = fit_with_config(ds, spec, config).coefficients
+        coef = fit_with_config(with_zero, spec, config).coefficients
+        assert coef[1] == 0.0
+        assert np.abs(np.delete(coef, 1) - ref).max() <= bound * np.abs(ref).max()
+        kw = dict(splits=4, g_test=3, config=config, seed=5, min_block=50)
+        ref = select.cv_group_count(ds, [2, 3], **kw)
+        got = select.cv_group_count(with_zero, [2, 3], **kw)
+        scale = np.abs(ref.scores).max()
+        assert np.abs(got.scores - ref.scores).max() <= bound * scale
+        assert np.abs(got.std_errors - ref.std_errors).max() <= bound * scale
+        np.testing.assert_array_equal(got.vanished, ref.vanished)
+
+    @pytest.mark.parametrize("q", ["l1", "l2"])
+    def test_every_predictor_zero(self, q):
+        # no coefficient explains anything: a fit without penalty raises, and
+        # a penalized one is the zero fit, which stops after one round
+        rng = np.random.default_rng(4)
+        ds = Dataset(X=np.zeros((200, 3)), Y=rng.standard_normal(200))
+        spec = consecutive_blocks(200, 2)
+        for config in (PenaltyConfig(q=q), PenaltyConfig(q=q, mode="constrained", kappa=0.8)):
+            with pytest.raises(AllGroupsNonpositive):
+                fit_reweighted(ds, spec, config)
+        fit = fit_reweighted(ds, spec, PenaltyConfig(q=q, lam=0.1))
+        np.testing.assert_array_equal(fit.beta, np.zeros(3))
+        np.testing.assert_array_equal(fit.group_V, np.zeros(2))
+        assert fit.iterations == 1 and fit.converged
+        assert len(fit.objective_path) == 1 and np.isnan(fit.objective_path[0])
+        with pytest.raises(Infeasible):
+            fit_with_config(ds, spec, PenaltyConfig(mode="maximal"))
 
     def test_group_v_matches_emp_explained_variance(self):
         rng = np.random.default_rng(8)

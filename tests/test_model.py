@@ -141,6 +141,7 @@ class TestPenaltyConfig:
         dict(lam=float("nan")),
         dict(mode="constrained", kappa=float("nan")),
         dict(tol=float("nan")),
+        dict(q="l2", mode="maximal"),            # the maximal LP is l1 only
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValidationError):

@@ -269,6 +269,26 @@ class TestConservativeCheck:
         assert value == pytest.approx(-5.0)
         np.testing.assert_allclose(worst, [1.0, -4.0])
 
+    @pytest.mark.parametrize("k", [-30, -7, 9, 40])
+    def test_verdict_is_unit_free(self, k):
+        # points, beta and S times 2^k scale every inner product and the
+        # tolerance's scale max_b b'S b by 2^(3k), exactly, so the verdict
+        # and the worst point stay; the pooled point of TWO_POINT misses by
+        # 5 at scale 37, so its verdict turns at tol = 5/37 at every k
+        rng = np.random.default_rng(9)
+        cases = [(random_support(rng), None) for _ in range(20)]
+        cases = [(s, maximin_effect(s)) for s, _ in cases] + [(TWO_POINT, np.ones(2))]
+        for s, beta in cases:
+            scaled = SupportSet(points=np.ldexp(s.points, k), sigma=np.ldexp(s.sigma, k))
+            for tol in (1e-12, 1e-8, 5.0 / 37.0 - 1e-9, 5.0 / 37.0 + 1e-9):
+                ok, value, worst = conservative_check(s, beta, tol=tol)
+                got = conservative_check(scaled, np.ldexp(beta, k), tol=tol)
+                assert got[0] == ok
+                assert got[1] == np.ldexp(value, 3 * k)
+                np.testing.assert_array_equal(got[2], np.ldexp(worst, k))
+        assert not conservative_check(TWO_POINT, np.ones(2), tol=5.0 / 37.0 - 1e-9)[0]
+        assert conservative_check(TWO_POINT, np.ones(2), tol=5.0 / 37.0 + 1e-9)[0]
+
 
 def _degenerate_support(rng):
     """Up to six points in R^1..R^4: plain, with duplicated rows, with points

@@ -221,22 +221,27 @@ class TestCvOnStatistics:
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_chunks_of_splits_leave_every_score_as_it_is(self, monkeypatch, chunk):
-        # the stacked LPs of a chunk solve as their programs do alone, so how
-        # the splits fall into chunks (all seven in one, or one per chunk as
-        # a split-by-split fit) moves no score, bit for bit
+        # every fit of a chunk is the one its split gets alone (the stacked
+        # maximal LPs solve as their programs do alone), so how the splits
+        # fall into chunks (all seven in one, or one per chunk as a
+        # split-by-split fit) moves no score, bit for bit, in any mode
         support = SupportSet(points=[[1.0], [-1.0]], sigma=np.eye(1))
         vanishing = gen_jump_process(4000, 1, support, delta=0.01, sigma_noise=1.0,
                                      seed=3).dataset
         cases = [(shifted(np.random.default_rng(12), ordered=True), 3),
                  (shifted(np.random.default_rng(12), ordered=False), 3),
                  (vanishing, 2)]
-        kw = dict(splits=7, config=PenaltyConfig(mode="maximal"), seed=1, min_block=50)
-        monkeypatch.setattr(select, "_maximal_chunk", lambda *a: 7)
-        results = [cv_group_count(ds, [2, 3, 6], g_test=g_test, **kw) for ds, g_test in cases]
+        configs = (PenaltyConfig(mode="maximal"), L2FREE, PenaltyConfig(q="l1", lam=0.05))
+
+        def run(size):
+            monkeypatch.setattr(select, "_chunk", lambda *a: size)
+            return [cv_group_count(ds, [2, 3, 6], g_test=g_test, splits=7, config=config,
+                                   seed=1, min_block=50)
+                    for config in configs for ds, g_test in cases]
+
+        results = run(7)
         assert 0 < results[2].vanished[0] < 7     # feasible and infeasible in one stack
-        monkeypatch.setattr(select, "_maximal_chunk", lambda *a: chunk)
-        for (ds, g_test), want in zip(cases, results):
-            got = cv_group_count(ds, [2, 3, 6], g_test=g_test, **kw)
+        for got, want in zip(run(chunk), results):
             np.testing.assert_array_equal(got.scores, want.scores)
             np.testing.assert_array_equal(got.std_errors, want.std_errors)
             np.testing.assert_array_equal(got.vanished, want.vanished)
@@ -257,11 +262,11 @@ class TestCvOnStatistics:
         # maximal mode solves each candidate's training LPs as one stack per
         # chunk of splits; the four splits here fit one chunk
         threads = []
-        real = select._simplex_stack
-        monkeypatch.setattr(select, "_simplex_stack", lambda *a, **k: threads.append(
+        real = estimator._simplex_stack
+        monkeypatch.setattr(estimator, "_simplex_stack", lambda *a, **k: threads.append(
             threading.get_ident()) or real(*a, **k))
         ds = shifted(np.random.default_rng(12), ordered=ordered)
-        assert select._maximal_chunk(ds, 3, [2, 3, 6]) >= 4
+        assert select._chunk(ds, 3, [2, 3, 6]) >= 4
         cv_group_count(ds, [2, 3, 6], splits=4, g_test=3,
                        config=PenaltyConfig(mode="maximal"), seed=4, min_block=50,
                        n_jobs=2)
@@ -366,18 +371,19 @@ class TestCvOnStatistics:
     def test_ordered_memory_independent_of_n(self):
         # n = 2e4, p = 200: a running sum of x x' at every row would need
         # n p^2 doubles (6.4 GB); kept at every c-th row (c = 250) the table
-        # is 0.81 times X.  Maximal mode holds the statistics of a chunk of
+        # is 0.81 times X.  Every mode holds the statistics of a chunk of
         # splits, 0.12 times X each, up to a quarter of X: two splits here,
         # where all 40 would take 4.8 times X
         rng = np.random.default_rng(15)
         n, p = 20_000, 200
         X = rng.standard_normal((n, p))
         ds = Dataset(X=X, Y=X[:, 0] + rng.standard_normal(n), time_ordered=True)
-        for splits in (2, 40):
+        for config, splits in ((PenaltyConfig(mode="maximal"), 2),
+                               (PenaltyConfig(mode="maximal"), 40), (L2FREE, 8)):
             tracemalloc.start()
             try:
                 cv_group_count(ds, [2, 5], splits=splits, g_test=5,
-                               config=PenaltyConfig(mode="maximal"), seed=0)
+                               config=config, seed=0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
