@@ -17,7 +17,8 @@ Two routes to an estimate:
   prediction scale exactly, from one parabola per group.
 
 Every fit is computed here: :func:`_fit_stats` fits one set of statistics,
-:func:`_fit_chunk` many, as cross-validation does, on the same routes.
+:func:`_fit_chunk` a stack of them, as cross-validation does, on the same
+routes.
 
 The data enter only through per-group Gram matrices, cross-products and
 sizes, and no other summary of Y, held in one :class:`GroupStats`: the one
@@ -81,7 +82,9 @@ class GroupStats:
     """Per-group sufficient statistics of validated data: all a fit reads.
 
     ``grams`` (G, p, p) and ``crosses`` (G, p) are X_g'X_g / n_g and
-    X_g'Y_g / n_g, ``sizes`` (G,) the n_g.  The arrays are not copied.
+    X_g'Y_g / n_g, ``sizes`` (G,) the n_g.  A stack of B sets of G groups
+    each, all of one size pattern, holds grams (B, G, p, p) and crosses
+    (B, G, p) with the one ``sizes``.  The arrays are not copied.
     """
 
     grams: np.ndarray
@@ -90,8 +93,11 @@ class GroupStats:
 
     def terms(self, beta) -> tuple[np.ndarray, np.ndarray]:
         """a_g = c_g'beta and q_g = beta' Gram_g beta of every group: scaled
-        by s, beta explains 2 s a_g - s^2 q_g of group g."""
-        return self.crosses @ beta, (self.grams @ beta) @ beta
+        by s, beta explains 2 s a_g - s^2 q_g of group g.  On a stack, beta
+        (B, p) holds one direction per set and the terms are (B, G)."""
+        column = beta[..., :, None]
+        return ((self.crosses @ column)[..., 0],
+                ((self.grams @ column[..., None, :, :])[..., 0] @ column)[..., 0])
 
     def values(self, beta) -> np.ndarray:
         """Empirical explained variance of beta in every group at once."""
@@ -444,12 +450,15 @@ def rescale(beta, dataset: Dataset, spec: GroupSpec) -> float:
     beta = np.asarray(beta, dtype=np.float64)
     if not np.any(beta):
         raise ValidationError("rescale needs a nonzero direction")
-    return _rescale(*_validated_stats(dataset, spec).terms(beta))
+    a, q = _validated_stats(dataset, spec).terms(beta)
+    return float(_rescale(a[None], q[None])[0])
 
 
-def _rescale(a, q) -> float:
-    """:func:`rescale` from the direction's terms a_g = beta'c_g and
-    q_g = beta' Gram_g beta (see :meth:`GroupStats.terms`).
+def _rescale(a, q) -> np.ndarray:
+    """:func:`rescale` of every row of a stack of directions, from their
+    terms a_g = beta'c_g and q_g = beta' Gram_g beta (see
+    :meth:`GroupStats.terms`), both (B, G); one direction is a stack of one,
+    and a row's scale is the one it gets alone, to the bit.
 
     The objective is s * min_g (2 a_g - s q_g), so on each stretch where
     line k is the lowest of the lines 2 a_g - s q_g its best point is the
@@ -457,25 +466,33 @@ def _rescale(a, q) -> float:
     the active line it stops at the vertex (clipped below at the kink where
     the line took over), unless a steeper line crosses first, in which case
     it moves to that crossing.  Every move goes to a strictly steeper line,
-    so there are at most G of them.
+    so there are at most G of them.  The rows walk in lockstep, and a row
+    that has stopped is masked out of every division with ``where=``.
     """
-    if float(a.min()) <= 0.0:
-        return 0.0
-    k = int(np.lexsort((-q, a))[0])     # lowest at s = 0, steepest on ties
-    kink = 0.0
-    while True:
-        vertex = max(a[k] / q[k], kink) if q[k] > 0.0 else np.inf
-        steeper = np.flatnonzero(q > q[k])
-        if steeper.size == 0:
-            break
-        cross = 2.0 * (a[steeper] - a[k]) / (q[steeper] - q[k])
-        j = int(cross.argmin())
-        if cross[j] >= vertex:
-            break
-        k, kink = int(steeper[j]), max(float(cross[j]), kink)
-    if q[k] <= 0.0:
-        raise SolverError("all group quadratic terms vanish for this direction")
-    return float(vertex)
+    B, G = a.shape
+    rows = np.arange(B)
+    scale = np.zeros(B)
+    walking = a.min(axis=1) > 0.0
+    # lowest at s = 0, steepest on ties
+    k = np.where(a == a.min(axis=1, keepdims=True), q, -np.inf).argmax(axis=1)
+    kink = np.zeros(B)
+    while walking.any():
+        ak, qk = a[rows, k], q[rows, k]
+        vertex = np.maximum(kink, np.divide(ak, qk, out=np.full(B, np.inf),
+                                            where=walking & (qk > 0.0)))
+        steeper = walking[:, None] & (q > qk[:, None])
+        cross = np.divide(2.0 * (a - ak[:, None]), q - qk[:, None],
+                          out=np.full((B, G), np.inf), where=steeper)
+        j = cross.argmin(axis=1)
+        moving = walking & (cross[rows, j] < vertex)
+        stopped = walking & ~moving
+        if np.any(qk[stopped] <= 0.0):
+            raise SolverError("all group quadratic terms vanish for this direction")
+        scale[stopped] = vertex[stopped]
+        kink[moving] = np.maximum(cross[rows, j], kink)[moving]
+        k[moving] = j[moving]
+        walking = moving
+    return scale
 
 
 def fit_with_config(dataset: Dataset, spec: GroupSpec,
@@ -490,12 +507,11 @@ def _fit_stats(stats: GroupStats, config: PenaltyConfig) -> MaximinFit:
     A fit without penalty (lam = 0, or constrained) whose every V_g is at
     most zero raises :class:`AllGroupsNonpositive`; a zero response gives exact zeros."""
     if config.mode == MODE_MAXIMAL:
-        [fit] = _fit_chunk([stats], config)
-        if fit is None:
+        beta, scale, group_V, vanished = _fit_chunk(
+            GroupStats(stats.grams[None], stats.crosses[None], stats.sizes), config)
+        if vanished[0]:
             raise Infeasible("no direction aligns positively with every group")
-        beta, s = fit
-        a, q = stats.terms(beta)
-        return MaximinFit(beta=beta, group_V=s * (2.0 * a - s * q), scale=s,
+        return MaximinFit(beta=beta[0], group_V=group_V[0], scale=float(scale[0]),
                           iterations=0, converged=True)
     lam = config.lam if config.mode == MODE_PENALIZED else 0.0
     fit = _fit_at_lambda(stats, config, lam)
@@ -504,21 +520,32 @@ def _fit_stats(stats: GroupStats, config: PenaltyConfig) -> MaximinFit:
     return fit
 
 
-def _fit_chunk(stats: list[GroupStats], config: PenaltyConfig) -> list:
-    """(beta, scale) of the fit of each statistics set (all of one shape), or
-    None where it vanishes: its maximal LP is infeasible, or it raises
-    :class:`AllGroupsNonpositive`.  Maximal mode solves the LPs as one stack,
-    one set as the view C[None], and rescales each from its own groups."""
+def _fit_chunk(stats: GroupStats, config: PenaltyConfig):
+    """The fit of every set of a stack of B statistics sets, each the one
+    :func:`_fit_stats` gives it alone: (beta (B, p), scale (B,), group_V
+    (B, G), vanished (B,)).  A fit vanishes when its maximal LP is
+    infeasible or it raises :class:`AllGroupsNonpositive`; it is then the
+    zero fit, with beta, scale and group_V all zero.
+
+    Maximal mode solves the B LPs as one stack, takes every program's terms
+    in batched products, rescales all of them in one walk and forms
+    group_V = s (2a - s q) from the same terms.  The reweighted modes fit
+    the sets one after another.
+    """
     if config.mode == MODE_MAXIMAL:
-        C = stats[0].crosses[None] if len(stats) == 1 else np.stack([s.crosses for s in stats])
-        betas, _, _, infeasible = _simplex_stack(C)
-        return [None if lost else (beta, _rescale(*s.terms(beta)))
-                for s, beta, lost in zip(stats, betas, infeasible)]
-    fits = []
-    for s in stats:
+        beta, _, _, vanished = _simplex_stack(stats.crosses)
+        a, q = stats.terms(beta)
+        scale = _rescale(a, q)
+        s = scale[:, None]
+        return beta, scale, s * (2.0 * a - s * q), vanished
+    B, G, p = stats.crosses.shape
+    beta, scale, group_V = np.zeros((B, p)), np.zeros(B), np.zeros((B, G))
+    vanished = np.zeros(B, dtype=bool)
+    for b in range(B):
         try:
-            fit = _fit_stats(s, config)
-            fits.append((fit.beta, fit.scale))
+            fit = _fit_stats(GroupStats(stats.grams[b], stats.crosses[b], stats.sizes), config)
         except AllGroupsNonpositive:
-            fits.append(None)
-    return fits
+            vanished[b] = True
+            continue
+        beta[b], scale[b], group_V[b] = fit.beta, fit.scale, fit.group_V
+    return beta, scale, group_V, vanished

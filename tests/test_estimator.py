@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from maximin import (
@@ -896,11 +898,56 @@ def _envelope_oracle(a, q):
     return max(cands, key=lambda s: _envelope_objective(s, a, q))
 
 
+# terms on a coarse grid, so stacks hold ties in a and in q, and off it
+_A_TERMS = st.one_of(st.integers(-2, 8).map(lambda k: k / 4.0), st.floats(1e-3, 3.0))
+_Q_TERMS = st.one_of(st.integers(0, 10).map(lambda k: k / 2.0), st.floats(1e-3, 5.0))
+
+
+@st.composite
+def _term_stacks(draw):
+    """(a, q), each (B, G): the terms of B directions on G groups."""
+    G = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(st.lists(_A_TERMS, min_size=G, max_size=G),
+                                   st.lists(_Q_TERMS, min_size=G, max_size=G)),
+                         min_size=1, max_size=6))
+    return np.array([a for a, _ in rows]), np.array([q for _, q in rows])
+
+
 class TestExactRescale:
     """The envelope walk of ``_rescale`` on given terms a_g and q_g."""
 
     def _walk(self, a, q):
-        return estimator._rescale(np.asarray(a, float), np.asarray(q, float))
+        return estimator._rescale(np.asarray(a, float)[None], np.asarray(q, float)[None])[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_term_stacks())
+    def test_stack_matches_brute_force_oracle_row_by_row(self, terms):
+        # each row alone: 0.0 when some a_g <= 0, SolverError when every
+        # q_g vanishes, else the oracle's best of every vertex and pairwise
+        # crossing; in a stack, a row's scale is its own to the bit, and a
+        # row that raises alone raises for the stack
+        a, q = terms
+        alone, raises = [], False
+        for a_row, q_row in zip(a, q):
+            if a_row.min() > 0.0 and not np.any(q_row > 0.0):
+                with pytest.raises(SolverError):
+                    self._walk(a_row, q_row)
+                raises = True
+                continue
+            s = self._walk(a_row, q_row)
+            if a_row.min() <= 0.0:
+                assert s == 0.0
+            else:
+                best = _envelope_oracle(a_row, q_row)
+                assert s == pytest.approx(best, rel=1e-9, abs=1e-12)
+                assert _envelope_objective(s, a_row, q_row) >= \
+                    _envelope_objective(best, a_row, q_row) * (1.0 - 1e-12)
+            alone.append(s)
+        if raises:
+            with pytest.raises(SolverError):
+                estimator._rescale(a, q)
+        else:
+            np.testing.assert_array_equal(estimator._rescale(a, q), alone)
 
     def test_kink_beats_clipped_vertex(self):
         # the steep group's vertex 0.03 lies left of where it takes over

@@ -340,12 +340,41 @@ class TestCvOnStatistics:
             assert runs[-1][1] == n and (n % table.step != 0) == (case == "tail")
         if case == "wide":
             assert table.step == n - 1
-        for bounds, stats in zip(edges, select._ordered_stats(table, runs, edges)):
+        for bounds, stats in zip(edges, select._ordered_stats(table, [runs], edges)):
             ref = estimator._group_stats(
                 ds, [half[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
-            np.testing.assert_allclose(stats.grams, ref.grams, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(stats.crosses, ref.crosses, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stats.grams[0], ref.grams, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stats.crosses[0], ref.crosses, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(stats.sizes, ref.sizes)
+
+    def test_halves_built_in_one_call(self):
+        # every case's cut (one-run, wrapped, tail and chunk-edge halves) on
+        # each case's series, built in one call with the union of its counts:
+        # every block matches a direct build, and every half's arrays are the
+        # ones it gets alone, to the bit
+        cuts = [cut for _, _, cut, _ in self.ORDERED_CASES.values()]
+        shapes = {}
+        for n, p, _, counts in self.ORDERED_CASES.values():
+            shapes.setdefault((n, p), set()).update(counts)
+        for (n, p), counts in shapes.items():
+            ds = shifted(np.random.default_rng(17), n=n, p=p, ordered=True)
+            table = select._running_table(ds)
+            halves = [np.sort(np.roll(np.arange(n), -cut)[:n // 2]) for cut in cuts]
+            runs = [runs_of(half) for half in halves]
+            assert {len(r) for r in runs} == {1, 2}
+            edges = [_block_edges(n // 2, G) for G in sorted(counts)]
+            together = select._ordered_stats(table, runs, edges)
+            for r, (half, alone) in enumerate(zip(halves, runs)):
+                for bounds, stats, single in zip(
+                        edges, together, select._ordered_stats(table, [alone], edges)):
+                    np.testing.assert_array_equal(stats.grams[r], single.grams[0])
+                    np.testing.assert_array_equal(stats.crosses[r], single.crosses[0])
+                    np.testing.assert_array_equal(stats.sizes, single.sizes)
+                    ref = estimator._group_stats(
+                        ds, [half[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
+                    np.testing.assert_allclose(stats.grams[r], ref.grams, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(stats.crosses[r], ref.crosses, rtol=0,
+                                               atol=1e-12)
 
     def test_running_sum_cancellation_stays_small(self):
         # block statistics are differences of sums from the first row, which
@@ -360,12 +389,12 @@ class TestCvOnStatistics:
         half = rows_of(runs)
         edges = [_block_edges(half.shape[0], G) for G in (2, 50, 400)]
         table = select._running_table(ds)
-        for bounds, stats in zip(edges, select._ordered_stats(table, runs, edges)):
+        for bounds, stats in zip(edges, select._ordered_stats(table, [runs], edges)):
             ref = estimator._group_stats(
                 ds, [half[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
             scale = np.abs(ref.grams).max()
-            assert np.abs(stats.grams - ref.grams).max() <= 1e-11 * scale
-            assert np.abs(stats.crosses - ref.crosses).max() <= \
+            assert np.abs(stats.grams[0] - ref.grams).max() <= 1e-11 * scale
+            assert np.abs(stats.crosses[0] - ref.crosses).max() <= \
                 1e-11 * np.abs(ref.crosses).max()
 
     def test_ordered_memory_independent_of_n(self):
